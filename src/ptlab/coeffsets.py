@@ -127,11 +127,12 @@ def prox_step(values, t, coeff_set):
     if coeff_set is CoeffSet.NONNEG:
         return np.maximum(v - t, 0.0)
     if coeff_set is CoeffSet.BOX01:
-        return np.clip(v - t, 0.0, 1.0)
+        return np.minimum(np.maximum(v - t, 0.0), 1.0)
     pairs = v.reshape(v.shape[:-1] + (v.shape[-1] // 2, 2))
-    nrm = np.linalg.norm(pairs, axis=-1, keepdims=True)
-    scale = np.where(nrm > t, 1.0 - t / np.where(nrm > 0, nrm, 1.0), 0.0)
-    return (pairs * scale).reshape(v.shape)
+    re, im = pairs[..., 0], pairs[..., 1]
+    with np.errstate(divide="ignore"):
+        scale = np.maximum(1.0 - t / np.sqrt(re * re + im * im), 0.0)
+    return (pairs * scale[..., None]).reshape(v.shape)
 
 
 def count_free(x):

@@ -126,6 +126,8 @@ class MeasurementOperator:
     num_blocks: int = 1
     sample_set: list = None
     descriptor: dict = field(default=None, repr=False)
+    _real_stacks: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     @property
     def block_shape(self):
@@ -137,14 +139,15 @@ class MeasurementOperator:
         return any(np.iscomplexobj(b) for b in self.blocks)
 
     def real_block_stack(self, coeff_set):
-        """(B, r, c) stack of real-representation blocks for the solver."""
-        amb = coeff_set.ambient_dim
-        reals = [real_rep_matrix(b, amb) for b in self.blocks]
-        if self.kind is OperatorKind.BLOCK_DIAG_REPEATED:
-            return np.broadcast_to(reals[0], (self.num_blocks,) + reals[0].shape)
-        if self.kind is OperatorKind.BLOCK_DIAG_DISTINCT:
-            return np.stack(reals)
-        return reals[0][None]
+        """(B, r, c) stack of real-representation blocks for the solver,
+        built once per coefficient set; the cached array is read-only."""
+        if coeff_set not in self._real_stacks:
+            reals = [real_rep_matrix(b, coeff_set.ambient_dim) for b in self.blocks]
+            stack = np.broadcast_to(reals[0], (self.num_blocks,) + reals[0].shape) \
+                if self.kind is OperatorKind.BLOCK_DIAG_REPEATED else np.stack(reals)
+            stack.flags.writeable = False
+            self._real_stacks[coeff_set] = stack
+        return self._real_stacks[coeff_set]
 
     def dense_real(self, coeff_set):
         """Dense real matrix; reference path for all checks."""

@@ -19,11 +19,11 @@ from . import ensembles, predict
 from .coeffsets import CoeffSet, parse_coeffset
 from .ensembles import ProblemSizes
 from .seeds import stream
-from .solver import DEFAULT_OPTIONS, SolverOptions, relative_error, solve_p1
+from .solver import (DEFAULT_OPTIONS, SUCCESS_THRESHOLD, SolverOptions,
+                     relative_error, solve_p1)
 
 MULTIBLOCK_N_LIMIT = 4096
 SINGLE_BLOCK_M_LIMIT = 1024
-SUCCESS_THRESHOLD = 0.001
 
 CSV_COLUMNS = ["ell", "m", "M", "B", "S", "successes", "pi_hat",
                "ensemble", "coeffset", "seed"]

@@ -2,19 +2,24 @@
 
 solve_p1 minimizes ||x||_{1,X} subject to A x = y and x in X^N via ADMM on
 min ||z||_{1,X} + indicator(A x = y), x = z.  The x-update is the projection
-onto the affine constraint set through a cached pseudoinverse; the z-update
-is the coefficient-set prox.  Block-diagonal operators are solved as a
-batch of independent per-block problems iterating in lockstep, which is the
-separability of the problem made concrete.
+onto the affine constraint set through a cached projector, x = P v + q with
+P = I - pinv(A) A and q = pinv(A) y built once per solve; the z-update is
+the coefficient-set prox.  Block-diagonal operators are solved as a batch of
+independent per-block problems iterating in lockstep, which is the
+separability of the problem made concrete: a repeated block shares one
+projector, so the x-update of all B blocks is a single matrix product.
 """
 
 import enum
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coeffsets import CoeffSet, SignalVector, norm_l1x, prox_step
 from .ensembles import MeasurementOperator, OperatorKind
+
+SUCCESS_THRESHOLD = 1e-3   # relative l2 error below which recovery succeeds
 
 
 class SolveStatus(enum.Enum):
@@ -30,7 +35,6 @@ class SolverOptions:
     obj_tol: float = 1e-7      # calibration target vs the LP oracle
     max_iters: int = 50000
     rho: float = 1.0           # ADMM penalty, residual-balanced during warmup
-    over_relax: float = 1.0    # values near 2 stall on degenerate instances
     adapt_every: int = 50
     adapt_until: int = 1000    # convergence needs an eventually fixed penalty
 
@@ -48,48 +52,48 @@ class SolveResult:
     value: float
 
 
-def _batched_pinv(stack):
-    # broadcast-aware: a repeated stack shares one factorization
-    if stack.base is not None and stack.strides[0] == 0:
-        return np.broadcast_to(np.linalg.pinv(stack[0]),
-                               (stack.shape[0], stack.shape[2], stack.shape[1]))
-    return np.linalg.pinv(stack)
+def _norm(a):
+    # np.linalg.norm's Frobenius norm (same dot, same sqrt) minus its dispatch
+    d = a.ravel()
+    return math.sqrt(d.dot(d))
 
 
-def admm_l1x(stack, y_blocks, coeff_set, opts=DEFAULT_OPTIONS):
+def admm_l1x(stack, y_blocks, coeff_set, opts=DEFAULT_OPTIONS, shared=False):
     """Core batched ADMM.  stack: (B, r, c) real blocks; y_blocks: (B, r).
 
+    shared=True says every block is stack[0]: one projector then serves all
+    B blocks and the x-update is one GEMM; otherwise it is a batched matmul.
     Returns (z, status, r_norm, s_norm, iterations) with z of shape (B, c).
     """
-    B, r, c = stack.shape
-    pinv = _batched_pinv(stack)
-    rho = opts.rho
-    alpha = opts.over_relax
+    B, _, c = stack.shape
+    if shared:
+        pinv = np.linalg.pinv(stack[0])
+        P = np.eye(c) - pinv @ stack[0]
+        q = y_blocks @ pinv.T
+    else:
+        pinv = np.linalg.pinv(stack)
+        P = np.eye(c) - pinv @ stack
+        q = np.matmul(pinv, y_blocks[:, :, None])[:, :, 0]
 
-    z = np.einsum("bcr,br->bc", pinv, y_blocks)
-    feas = np.linalg.norm(np.einsum("brc,bc->br", stack, z) - y_blocks)
-    ynorm = np.linalg.norm(y_blocks)
-    if feas > opts.feas_tol * (1.0 + ynorm):
-        zero = np.zeros((B, c))
-        return zero, SolveStatus.INFEASIBLE, feas, 0.0, 0
+    feas = _norm(np.einsum("brc,bc->br", stack, q) - y_blocks)
+    if feas > opts.feas_tol * (1.0 + _norm(y_blocks)):
+        return np.zeros((B, c)), SolveStatus.INFEASIBLE, feas, 0.0, 0
 
-    u = np.zeros_like(z)
-    sq_dim = np.sqrt(B * c)
+    z, u, rho = q, np.zeros_like(q), opts.rho
+    sq_dim = math.sqrt(B * c)
     r_norm = s_norm = np.inf
     it = 0
     for it in range(1, opts.max_iters + 1):
         v = z - u
-        x = v - np.einsum("bcr,br->bc", pinv,
-                          np.einsum("brc,bc->br", stack, v) - y_blocks)
-        x_hat = alpha * x + (1.0 - alpha) * z
+        x = v @ P.T + q if shared else np.matmul(P, v[:, :, None])[:, :, 0] + q
+        w = x + u
         z_old = z
-        z = _prox_blocks(x_hat + u, 1.0 / rho, coeff_set)
-        u = u + x_hat - z
-        r_norm = float(np.linalg.norm(x - z))
-        s_norm = float(rho * np.linalg.norm(z - z_old))
-        eps_pri = opts.tol * (sq_dim + max(np.linalg.norm(x), np.linalg.norm(z)))
-        eps_dual = opts.tol * (sq_dim + rho * np.linalg.norm(u))
-        if r_norm <= eps_pri and s_norm <= eps_dual:
+        z = prox_step(w, 1.0 / rho, coeff_set)
+        u = w - z
+        r_norm = _norm(x - z)
+        s_norm = rho * _norm(z - z_old)
+        if r_norm <= opts.tol * (sq_dim + max(_norm(x), _norm(z))) and \
+                s_norm <= opts.tol * (sq_dim + rho * _norm(u)):
             return z, SolveStatus.CONVERGED, r_norm, s_norm, it
         if it <= opts.adapt_until and it % opts.adapt_every == 0:
             if r_norm > 10.0 * s_norm:
@@ -99,16 +103,6 @@ def admm_l1x(stack, y_blocks, coeff_set, opts=DEFAULT_OPTIONS):
                 rho /= 2.0
                 u *= 2.0
     return z, SolveStatus.MAX_ITERS, r_norm, s_norm, it
-
-
-def _prox_blocks(v, t, coeff_set):
-    if coeff_set is CoeffSet.COMPLEX:
-        B, c = v.shape
-        pairs = v.reshape(B, c // 2, 2)
-        nrm = np.linalg.norm(pairs, axis=2, keepdims=True)
-        scale = np.where(nrm > t, 1.0 - t / np.where(nrm > 0.0, nrm, 1.0), 0.0)
-        return (pairs * scale).reshape(B, c)
-    return prox_step(v, t, coeff_set)
 
 
 def _polish_block(Ab, yb, zb, coeff_set, act_tol=1e-4):
@@ -170,20 +164,19 @@ def solve_p1(A, y_real, coeff_set, opts=DEFAULT_OPTIONS):
     result is reported.
     """
     if isinstance(A, MeasurementOperator):
-        stack = np.ascontiguousarray(A.real_block_stack(coeff_set)) \
-            if A.kind is OperatorKind.BLOCK_DIAG_DISTINCT else A.real_block_stack(coeff_set)
-        n_coeffs = A.cols
+        stack = A.real_block_stack(coeff_set)
         M_block = A.block_shape[1]
         B = stack.shape[0]
+        shared = A.kind is OperatorKind.BLOCK_DIAG_REPEATED or B == 1
     else:
-        dense = np.asarray(A, dtype=float)
-        stack = dense[None]
-        n_coeffs = dense.shape[1] // coeff_set.ambient_dim
-        M_block = n_coeffs
+        stack = np.asarray(A, dtype=float)[None]
+        M_block = stack.shape[2] // coeff_set.ambient_dim
         B = 1
+        shared = True
     y_blocks = np.asarray(y_real, dtype=float).reshape(B, stack.shape[1])
 
-    z, status, r_norm, s_norm, iters = admm_l1x(stack, y_blocks, coeff_set, opts)
+    z, status, r_norm, s_norm, iters = admm_l1x(stack, y_blocks, coeff_set,
+                                                opts, shared)
     if status is SolveStatus.MAX_ITERS:
         z = _polish(stack, y_blocks, z, coeff_set)
     values = z.reshape(-1)
@@ -199,7 +192,7 @@ def solve_p1(A, y_real, coeff_set, opts=DEFAULT_OPTIONS):
                        value=norm_l1x(values, coeff_set))
 
 
-def declare_success(x0, x1, threshold=0.001):
+def declare_success(x0, x1, threshold=SUCCESS_THRESHOLD):
     """Reconstruction success: relative l2 error below the fixed threshold."""
     v0 = x0.values if isinstance(x0, SignalVector) else np.asarray(x0, float)
     v1 = x1.values if isinstance(x1, SignalVector) else np.asarray(x1, float)

@@ -224,6 +224,18 @@ def test_adjoint_identity_all_kinds():
             assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
 
 
+def test_real_block_stack_cached_read_only():
+    ops = (rbuse(3, 5, 4, "complex", seed=1), dbuse(3, 5, 4, "real", seed=2),
+           aniso_sampler_2d(4, [0, 1]))
+    for op in ops:
+        for cs in (CoeffSet.REAL, CoeffSet.COMPLEX):
+            stack = op.real_block_stack(cs)
+            assert op.real_block_stack(cs) is stack
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1.0
+
+
 def test_real_rep_matrix_conventions():
     A = np.array([[1 + 2j]])
     r2 = real_rep_matrix(A, 2)

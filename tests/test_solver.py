@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ptlab.coeffsets import CoeffSet, norm_l1x
+from ptlab.coeffsets import CoeffSet, norm_l1x, prox_step
 from ptlab.ensembles import (ProblemSizes, dbuse, make_block_diagonal,
-                             partial_dft_block, rbpft, sample_signal,
+                             partial_dft_block, rbpft, rbuse, sample_signal,
                              sample_use)
 from ptlab.oracle import RESIDUAL_CERT, lp_oracle, socp_min_l1x
 from ptlab.seeds import stream
@@ -229,3 +229,76 @@ def test_multiblock_complex_recovery():
     res = solve_p1(op, y, CoeffSet.COMPLEX)
     assert res.status is SolveStatus.CONVERGED
     assert relative_error(x0.values, res.x1.values) < 1e-6
+
+
+def reference_admm(stack, y_blocks, cs, opts=DEFAULT_OPTIONS):
+    """The two-einsum ADMM loop the projector kernel replaced, with its
+    prox, kept as the reference for the kernel's iterates."""
+    def prox(v, t):
+        if cs is CoeffSet.COMPLEX:
+            pairs = v.reshape(v.shape[0], -1, 2)
+            nrm = np.linalg.norm(pairs, axis=2, keepdims=True)
+            scale = np.where(nrm > t,
+                             1.0 - t / np.where(nrm > 0.0, nrm, 1.0), 0.0)
+            return (pairs * scale).reshape(v.shape)
+        if cs is CoeffSet.BOX01:
+            return np.clip(v - t, 0.0, 1.0)
+        return prox_step(v, t, cs)
+
+    B, r, c = stack.shape
+    pinv, rho = np.linalg.pinv(stack), opts.rho
+    z = np.einsum("bcr,br->bc", pinv, y_blocks)
+    feas = np.linalg.norm(np.einsum("brc,bc->br", stack, z) - y_blocks)
+    if feas > opts.feas_tol * (1.0 + np.linalg.norm(y_blocks)):
+        return np.zeros((B, c)), SolveStatus.INFEASIBLE, 0
+    u, sq_dim = np.zeros_like(z), np.sqrt(B * c)
+    for it in range(1, opts.max_iters + 1):
+        v = z - u
+        x = v - np.einsum("bcr,br->bc", pinv,
+                          np.einsum("brc,bc->br", stack, v) - y_blocks)
+        z_old, z = z, prox(x + u, 1.0 / rho)
+        u = u + x - z
+        r_norm = np.linalg.norm(x - z)
+        s_norm = rho * np.linalg.norm(z - z_old)
+        eps_pri = opts.tol * (sq_dim + max(np.linalg.norm(x),
+                                           np.linalg.norm(z)))
+        eps_dual = opts.tol * (sq_dim + rho * np.linalg.norm(u))
+        if r_norm <= eps_pri and s_norm <= eps_dual:
+            return z, SolveStatus.CONVERGED, it
+        if it <= opts.adapt_until and it % opts.adapt_every == 0:
+            if r_norm > 10.0 * s_norm:
+                rho, u = rho * 2.0, u / 2.0
+            elif s_norm > 10.0 * r_norm:
+                rho, u = rho / 2.0, u * 2.0
+    return z, SolveStatus.MAX_ITERS, it
+
+
+def test_kernel_matches_reference_loop():
+    # the projector kernel must walk the reference loop's iterates: same
+    # iteration count and status, z equal up to roundoff
+    rng = stream(8, "kernel")
+    cases = [(make_block_diagonal([np.array([[1.0, 0.0], [1.0, 0.0]])], 1,
+                                  repeated=True),
+              np.array([0.0, 1.0]), CoeffSet.REAL)]
+    for cs in ALL_SETS:
+        field_name = "complex" if cs.is_complex else "real"
+        for op in (make_block_diagonal([sample_use(5, 8, field_name, rng)], 1,
+                                       repeated=True),
+                   rbuse(5, 8, 3, field_name, rng),
+                   dbuse(5, 8, 3, field_name, rng)):
+            x0 = sample_signal(ProblemSizes(3, 5, 8, op.num_blocks), cs, rng)
+            cases.append((op, op.apply(x0.values, cs), cs))
+    statuses = []
+    for op, y, cs in cases:
+        stack = op.real_block_stack(cs)
+        z, status, iters = reference_admm(stack, y.reshape(stack.shape[:2]), cs)
+        # single blocks go in as dense matrices, the path for raw input
+        A = op.dense_real(cs) if op.num_blocks == 1 else op
+        res = solve_p1(A, y, cs)
+        assert (res.iterations, res.status) == (iters, status)
+        assert status is not SolveStatus.MAX_ITERS   # no polish in the way
+        assert np.linalg.norm(res.x1.values - z.reshape(-1)) <= \
+            1e-10 * (1.0 + np.linalg.norm(z))
+        statuses.append(status)
+    assert statuses[0] is SolveStatus.INFEASIBLE
+    assert statuses[1:] == [SolveStatus.CONVERGED] * (len(cases) - 1)
