@@ -8,6 +8,7 @@ PTLAB_SEED overrides the master seed of campaign configs.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -30,10 +31,27 @@ def _out_stream(path):
     return open(path, "w", newline="") if path else sys.stdout
 
 
+@contextlib.contextmanager
+def _atomic_artifact(outdir, name):
+    """Open outdir/name for writing through a temp file in outdir that is
+    renamed into place only once the write completes, so an interrupted
+    run leaves no truncated artifact and no temp file."""
+    os.makedirs(outdir, exist_ok=True)
+    path = os.path.join(outdir, name)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _write_manifest(outdir, command, payload, seed):
     manifest = {"command": command, "config": payload, "master_seed": seed,
                 "version": __version__, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
+    with _atomic_artifact(outdir, "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
@@ -45,7 +63,7 @@ def _load_config(args):
         raw["master_seed"] = int(env_seed)
     config = ExperimentConfig.from_dict(raw)
     overrides = {}
-    for name in ("feas_tol", "obj_tol", "max_iters", "rho"):
+    for name in ("feas_tol", "max_iters", "rho"):
         val = getattr(args, name, None)
         if val is not None:
             overrides[name] = val
@@ -101,8 +119,7 @@ TRIAL_COLUMNS = ["trial", "ell", "m", "M", "B", "ensemble", "coeffset",
 def cmd_trials(args):
     config, raw = _load_config(args)
     records = run_trials(config)
-    os.makedirs(args.outdir, exist_ok=True)
-    with open(os.path.join(args.outdir, "trials.csv"), "w", newline="") as fh:
+    with _atomic_artifact(args.outdir, "trials.csv") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(TRIAL_COLUMNS)
         for r in records:
@@ -111,8 +128,7 @@ def cmd_trials(args):
                         r.master_seed, repr(r.rel_error), int(r.success),
                         r.solver_status, r.iterations])
     row = summarize(config, records)
-    with open(os.path.join(args.outdir, "success_table.csv"), "w",
-              newline="") as fh:
+    with _atomic_artifact(args.outdir, "success_table.csv") as fh:
         SuccessTable([row]).to_csv(fh)
     _write_manifest(args.outdir, "trials", config.to_dict(), config.master_seed)
     print(f"pi_hat = {row.pi_hat} ({row.successes}/{row.S})")
@@ -123,9 +139,7 @@ def cmd_grid(args):
     config, raw = _load_config(args)
     ell_values = raw.get("ell_values")
     table = run_phase_grid(config, ell_values)
-    os.makedirs(args.outdir, exist_ok=True)
-    with open(os.path.join(args.outdir, "success_table.csv"), "w",
-              newline="") as fh:
+    with _atomic_artifact(args.outdir, "success_table.csv") as fh:
         table.to_csv(fh)
     _write_manifest(args.outdir, "grid", config.to_dict(), config.master_seed)
     print(f"{len(table.rows)} grid cells written to {args.outdir}")
@@ -219,7 +233,6 @@ def build_parser():
                        help="worker processes (default: available cores); "
                             "results never depend on this")
         p.add_argument("--feas-tol", dest="feas_tol", type=float, default=None)
-        p.add_argument("--obj-tol", dest="obj_tol", type=float, default=None)
         p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
         p.add_argument("--rho", type=float, default=None)
         p.set_defaults(func=fn)

@@ -68,18 +68,10 @@ class SignalVector:
             raise ValueError(f"values must have shape ({expected},), "
                              f"got {self.values.shape}")
 
-    @property
-    def n_coeffs(self):
-        return self.block_size * self.num_blocks
-
     def blocks(self):
         """View as (num_blocks, ambient*M)."""
         amb = self.coeff_set.ambient_dim
         return self.values.reshape(self.num_blocks, amb * self.block_size)
-
-    def pairs(self):
-        """Coefficients as an (n_coeffs, ambient) array."""
-        return self.values.reshape(self.n_coeffs, self.coeff_set.ambient_dim)
 
     def is_member(self, tol=0.0):
         """Membership in the coefficient set (exact by default)."""

@@ -96,20 +96,6 @@ def real_rep_matrix(block, ambient):
     return out
 
 
-def complex_to_real_vec(z):
-    """Interleaved (re, im) real vector of a complex vector."""
-    z = np.asarray(z)
-    out = np.empty(2 * z.shape[0])
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
-
-
-def real_vec_to_complex(v):
-    v = np.asarray(v, dtype=float)
-    return v[0::2] + 1j * v[1::2]
-
-
 @dataclass
 class MeasurementOperator:
     """An n x N linear map given by its diagonal blocks plus provenance.
@@ -259,10 +245,6 @@ def min_column_minor(block):
                     for c in itertools.combinations(range(M), m)])
     dets = np.linalg.det(sub)
     return float(np.abs(dets).min())
-
-
-def columns_in_general_position(block, tol=1e-10):
-    return min_column_minor(block) > tol
 
 
 def general_position_rows(M, m, seed=None, tol=1e-9, max_tries=200,

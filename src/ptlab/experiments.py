@@ -9,7 +9,9 @@ regardless of worker count or execution order.
 import csv
 import functools
 import io
+import itertools
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -69,7 +71,6 @@ class ExperimentConfig:
              "jobs": self.jobs,
              "solver": {"tol": self.solver.tol,
                         "feas_tol": self.solver.feas_tol,
-                        "obj_tol": self.solver.obj_tol,
                         "max_iters": self.solver.max_iters,
                         "rho": self.solver.rho}}
         return d
@@ -77,9 +78,11 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d):
         sov = d.get("solver") or {}
+        if "obj_tol" in sov:
+            warnings.warn("solver option obj_tol is no longer used; ignored")
         opts = replace(DEFAULT_OPTIONS, **{k: sov[k] for k in
-                                           ("tol", "feas_tol", "obj_tol",
-                                            "max_iters", "rho") if k in sov})
+                                           ("tol", "feas_tol", "max_iters",
+                                            "rho") if k in sov})
         return cls(ensemble=d["ensemble"],
                    coeff_set=parse_coeffset(d["coeffset"]),
                    ell=int(d["ell"]), m=int(d["m"]), M=int(d["M"]),
@@ -198,18 +201,30 @@ def _guard(config):
                          f"exceeds {SINGLE_BLOCK_M_LIMIT}")
 
 
+def _run_cells(cells, jobs):
+    """Every (cell, trial) of `cells` as one work list over one process pool.
+
+    The pool deals out one trial at a time, so a trial that runs to the
+    iteration cap occupies one worker while the others take up the trials
+    that follow it, whatever their cell.  Returns one record list per cell,
+    in trial order.
+    """
+    for cell in cells:
+        _guard(cell)
+    configs = [cell for cell in cells for _ in range(cell.S)]
+    indices = [t for cell in cells for t in range(cell.S)]
+    if jobs > 1 and len(indices) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(indices))) as pool:
+            records = list(pool.map(run_one_trial, configs, indices))
+    else:
+        records = list(map(run_one_trial, configs, indices))
+    records = iter(records)
+    return [list(itertools.islice(records, cell.S)) for cell in cells]
+
+
 def run_trials(config):
     """S independent trials; records returned in trial order."""
-    _guard(config)
-    indices = range(config.S)
-    if config.jobs > 1 and config.S > 1:
-        with ProcessPoolExecutor(max_workers=min(config.jobs, config.S)) as pool:
-            records = list(pool.map(functools.partial(run_one_trial, config),
-                                    indices, chunksize=16))
-    else:
-        records = [run_one_trial(config, t) for t in indices]
-    records.sort(key=lambda r: r.trial_index)
-    return records
+    return _run_cells([config], config.jobs)[0]
 
 
 def summarize(config, records):
@@ -233,17 +248,18 @@ def default_window(m, M, B, coeff_set):
 
 
 def run_phase_grid(config, ell_values=None):
-    """Sweep ell at constant S per cell; each cell gets its own derived seed."""
+    """Sweep ell at constant S per cell; each cell gets its own derived seed.
+    The trials of all cells share one process pool (see _run_cells)."""
     if ell_values is None:
         ell_values = default_window(config.m, config.M, config.B,
                                     config.coeff_set)
-    rows = []
+    cells = []
     for ell in ell_values:
         cell_seed = int(stream(config.master_seed, "cell", ell)
                         .integers(2 ** 62))
-        cell = replace(config, ell=int(ell), master_seed=cell_seed)
-        rows.append(summarize(cell, run_trials(cell)))
-    return SuccessTable(rows)
+        cells.append(replace(config, ell=int(ell), master_seed=cell_seed))
+    return SuccessTable(list(map(summarize, cells,
+                                 _run_cells(cells, config.jobs))))
 
 
 @dataclass(frozen=True)
@@ -256,9 +272,6 @@ class CampaignResult:
 def single_block_campaign(ell, m, M, S, seed, coeff_set=CoeffSet.BOX01,
                           ensemble="dbuse", solver=DEFAULT_OPTIONS, jobs=1):
     """S single-block solves; returns the mean failure rate and raw count."""
-    if M > SINGLE_BLOCK_M_LIMIT:
-        raise ValueError(f"desk-scale guard: M = {M} exceeds "
-                         f"{SINGLE_BLOCK_M_LIMIT}")
     config = ExperimentConfig(ensemble=ensemble, coeff_set=coeff_set,
                               ell=ell, m=m, M=M, B=1, S=S, master_seed=seed,
                               solver=solver, jobs=jobs)

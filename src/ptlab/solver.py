@@ -32,7 +32,6 @@ class SolveStatus(enum.Enum):
 class SolverOptions:
     tol: float = 1e-9          # relative primal/dual stopping tolerance
     feas_tol: float = 1e-7     # constraint violation of the returned point
-    obj_tol: float = 1e-7      # calibration target vs the LP oracle
     max_iters: int = 50000
     rho: float = 1.0           # ADMM penalty, residual-balanced during warmup
     adapt_every: int = 50

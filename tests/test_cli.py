@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ptlab.cli import main
+from ptlab.experiments import CSV_COLUMNS, SuccessTable
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +118,39 @@ def test_grid_then_fit_round_trip(capsys, tmp_path):
     fit_rows = list(csv.DictReader(open(fit_out)))
     assert len(fit_rows) == 1
     assert 0.0 < float(fit_rows[0]["eps_star"]) < 1.0
+
+
+def grid_config(tmp_path):
+    cfg = {"ensemble": "dbuse", "coeffset": "real", "ell": 0, "m": 4,
+           "M": 8, "B": 2, "S": 10, "master_seed": 5,
+           "ell_values": [0, 1, 2, 3, 4]}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_grid_table_independent_of_jobs(capsys, tmp_path):
+    path = grid_config(tmp_path)
+    for jobs in ("1", "2"):
+        code, _, _ = run_cli(capsys, "grid", "--config", str(path),
+                             "-o", str(tmp_path / f"j{jobs}"), "--jobs", jobs)
+        assert code == 0
+    assert (tmp_path / "j1" / "success_table.csv").read_bytes() == \
+        (tmp_path / "j2" / "success_table.csv").read_bytes()
+
+
+def test_interrupted_grid_leaves_no_partial_table(tmp_path, monkeypatch):
+    def interrupted_to_csv(self, fh):
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(SuccessTable, "to_csv", interrupted_to_csv)
+    path = grid_config(tmp_path)
+    outdir = tmp_path / "g"
+    with pytest.raises(KeyboardInterrupt):
+        main(["grid", "--config", str(path), "-o", str(outdir),
+              "--jobs", "1"])
+    assert os.listdir(outdir) == []
 
 
 def test_test_subcommand_json(capsys):

@@ -1,8 +1,10 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ptlab import experiments
 from ptlab.coeffsets import CoeffSet
 from ptlab.exactprob import q_sb_exact
 from ptlab.experiments import (ExperimentConfig, SuccessTable, run_phase_grid,
@@ -101,6 +103,43 @@ def test_grid_monotone_within_noise():
         assert pis[i + 1] <= pis[i] + 3 * se
 
 
+def test_grid_same_rows_across_workers():
+    config = tiny_config(S=12, coeff_set=CoeffSet.REAL, M=8, m=4, B=2,
+                         master_seed=21)
+    serial = run_phase_grid(config, ell_values=[0, 1, 2, 3, 4])
+    parallel = run_phase_grid(replace(config, jobs=2),
+                              ell_values=[0, 1, 2, 3, 4])
+    assert parallel.rows == serial.rows
+
+
+def test_grid_runs_one_pool_per_campaign(monkeypatch):
+    starts, cells = [], []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    summarize = experiments.summarize
+
+    def keep_records(cell, records):
+        cells.append((cell, records))
+        return summarize(cell, records)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(experiments, "summarize", keep_records)
+    config = tiny_config(S=6, coeff_set=CoeffSet.REAL, M=8, m=4, B=2,
+                         master_seed=21, jobs=2)
+    run_phase_grid(config, ell_values=[0, 2, 4])
+    assert starts == [{"max_workers": 2}]
+    assert [cell.ell for cell, _ in cells] == [0, 2, 4]
+    for cell, records in cells:
+        serial = run_trials(replace(cell, jobs=1))
+        assert [r.trial_index for r in records] == list(range(6))
+        assert [r.rel_error for r in records] == \
+            [r.rel_error for r in serial]
+
+
 def test_single_block_campaign_certain_cases():
     # zero signal (no free entries in a zero-boundary set) always recovers
     out = single_block_campaign(0, 3, 5, 10, seed=1, coeff_set=CoeffSet.REAL)
@@ -131,6 +170,15 @@ def test_config_dict_round_trip():
     config = tiny_config(ensemble="rbpft", K=(0, 1, 2), matrix_policy="fixed")
     clone = ExperimentConfig.from_dict(config.to_dict())
     assert clone == config
+
+
+def test_config_with_removed_obj_tol_loads_with_warning():
+    config = tiny_config()
+    d = config.to_dict()
+    assert "obj_tol" not in d["solver"]
+    d["solver"]["obj_tol"] = 1e-7
+    with pytest.warns(UserWarning, match="obj_tol"):
+        assert ExperimentConfig.from_dict(d) == config
 
 
 def test_config_validation():
