@@ -10,11 +10,11 @@ and dense numerical verification of the structural equivalence results.
 __version__ = "0.1.0"
 
 from .coeffsets import CoeffSet, SignalVector, count_free, norm_l1x, parse_coeffset, prox_step
-from .ensembles import (MeasurementOperator, OperatorKind, ProblemSizes,
-                        aniso_sampler_2d, dbuse, iso_sampler_2d,
-                        make_block_diagonal, operator_from_descriptor,
-                        partial_dft_block, partial_real_dft_block, rbpft,
-                        rb_real_dft, rbuse, sample_signal, sample_use)
+from .ensembles import (MeasurementOperator, ProblemSizes, aniso_sampler_2d,
+                        dbuse, iso_sampler_2d, make_block_diagonal,
+                        operator_from_descriptor, partial_dft_block,
+                        partial_real_dft_block, rbpft, rb_real_dft, rbuse,
+                        sample_signal, sample_use)
 from .exactprob import (CriticalSparsity, binom_tail, continuum_ell0,
                         critical_ell, normal_approx, q_mb_exact, q_sb_exact,
                         tail_decay_check, uspensky_gap)
@@ -30,7 +30,6 @@ from .predict import (OffsetPrediction, asymptotic_pt, eta_shape,
                       predict_pt_delta, zeta_shape)
 from .solver import (SolveResult, SolveStatus, SolverOptions, declare_success,
                      relative_error, solve_p1)
-from .verify import (EquivalenceReport, GramReport, check_eigvecs,
-                     check_equivalence, check_gram_structure,
-                     check_isometry_factorization, reduce_rank_deficient,
-                     run_verification_suite)
+from .verify import (EquivalenceReport, GramReport, check_equivalence,
+                     check_gram_structure, check_isometry_factorization,
+                     reduce_rank_deficient, run_verification_suite)

@@ -27,10 +27,6 @@ from .predict import predict_pt_delta
 from .verify import run_verification_suite
 
 
-def _out_stream(path):
-    return open(path, "w", newline="") if path else sys.stdout
-
-
 @contextlib.contextmanager
 def _atomic_artifact(outdir, name):
     """Open outdir/name for writing through a temp file in outdir that is
@@ -46,6 +42,17 @@ def _atomic_artifact(outdir, name):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+@contextlib.contextmanager
+def _output(path):
+    """Yield stdout when no path is given; otherwise write path atomically."""
+    if not path:
+        yield sys.stdout
+        return
+    with _atomic_artifact(os.path.dirname(path) or ".",
+                          os.path.basename(path)) as fh:
+        yield fh
 
 
 def _write_manifest(outdir, command, payload, seed):
@@ -80,13 +87,11 @@ def cmd_exactprob(args):
     for ell in range(0, args.M + 1):
         rows.append((ell, q_sb_exact(ell, args.m, args.M),
                      q_mb_exact(ell, args.m, args.M, args.B)))
-    fh = _out_stream(args.output)
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(["ell", "q_sb", "q_mb"])
-    for ell, qs, qm in rows:
-        w.writerow([ell, repr(qs), repr(qm)])
-    if fh is not sys.stdout:
-        fh.close()
+    with _output(args.output) as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["ell", "q_sb", "q_mb"])
+        for ell, qs, qm in rows:
+            w.writerow([ell, repr(qs), repr(qm)])
     try:
         crit = critical_ell(args.m, args.M, args.B, q_star)
         print(f"# ell* = {crit.ell_star} (eps* = {repr(crit.eps_star)}, "
@@ -98,17 +103,15 @@ def cmd_exactprob(args):
 
 def cmd_predict(args):
     cs = parse_coeffset(args.coeffset)
-    fh = _out_stream(args.output)
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(["delta", "eps_asy", "eps_bd_first", "eps_bd_second",
-                "rel_offset", "gamma", "order", "extrapolated"])
-    for delta in args.delta:
-        p = predict_pt_delta(delta, args.M, args.B, cs, order=args.order)
-        w.writerow([repr(delta), repr(p.eps_asy), repr(p.eps_bd_first),
-                    repr(p.eps_bd_second), repr(p.rel_offset), repr(p.gamma),
-                    p.order, p.extrapolated])
-    if fh is not sys.stdout:
-        fh.close()
+    with _output(args.output) as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["delta", "eps_asy", "eps_bd_first", "eps_bd_second",
+                    "rel_offset", "gamma", "order", "extrapolated"])
+        for delta in args.delta:
+            p = predict_pt_delta(delta, args.M, args.B, cs, order=args.order)
+            w.writerow([repr(delta), repr(p.eps_asy), repr(p.eps_bd_first),
+                        repr(p.eps_bd_second), repr(p.rel_offset),
+                        repr(p.gamma), p.order, p.extrapolated])
     return 0
 
 
@@ -152,23 +155,21 @@ def cmd_fit(args):
     groups = {}
     for row in table.rows:
         groups.setdefault((row.m, row.M, row.B), []).append(row)
-    fh = _out_stream(args.output)
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(["m", "M", "B", "delta", "eps_star", "se"])
     link = parse_link(args.link)
     status = 0
-    for (m, M, B), rows in sorted(groups.items()):
-        try:
-            fit = fit_quantal(SuccessTable(rows), link)
-        except (SeparationError, ValueError) as exc:
-            print(f"# fit failed at (m={m}, M={M}, B={B}): {exc}",
-                  file=sys.stderr)
-            status = 1
-            continue
-        w.writerow([m, M, B, repr(m / M), repr(fit.eps_star),
-                    repr(fit.se_eps_star)])
-    if fh is not sys.stdout:
-        fh.close()
+    with _output(args.output) as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["m", "M", "B", "delta", "eps_star", "se"])
+        for (m, M, B), rows in sorted(groups.items()):
+            try:
+                fit = fit_quantal(SuccessTable(rows), link)
+            except (SeparationError, ValueError) as exc:
+                print(f"# fit failed at (m={m}, M={M}, B={B}): {exc}",
+                      file=sys.stderr)
+                status = 1
+                continue
+            w.writerow([m, M, B, repr(m / M), repr(fit.eps_star),
+                        repr(fit.se_eps_star)])
     return status
 
 
@@ -181,23 +182,15 @@ def cmd_test(args):
                "band": list(decision.band), "outcome": decision.outcome.value,
                "S": args.S, "B": args.B, "q_star": args.qstar,
                "alpha": args.alpha}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _output(args.output) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def cmd_verify(args):
     report = run_verification_suite(seed=args.seed, instances=args.instances)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _output(args.output) as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if report["pass"] else 1
 
 

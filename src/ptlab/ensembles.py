@@ -1,17 +1,18 @@
 """Measurement operators and signal generators.
 
-Operators are stored block-wise as (possibly complex) dense matrices; the
-solver consumes their real representation, which depends on the coefficient
-set: a complex matrix acting on real coefficients contributes two real rows
-(re, im) per measurement, while acting on complex coefficients each entry
-a+ib becomes the 2x2 block [[a, -b], [b, a]].
+Every operator is block-diagonal and is stored as a stack of its (possibly
+complex) diagonal blocks, one block when it repeats down the diagonal; the
+2D samplers are the one-block case.  The solver consumes the blocks' real
+representation, which depends on the coefficient set: a complex matrix
+acting on real coefficients contributes two real rows (re, im) per
+measurement, while acting on complex coefficients each entry a+ib becomes
+the 2x2 block [[a, -b], [b, a]].
 
 2D Fourier samplers operate on M x M arrays vectorized in C order (row
 t0 of the array occupies coefficients [t0*M, (t0+1)*M)), so the anisotropic
 sampler factors exactly through a repeated-block partial-DFT operator.
 """
 
-import enum
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -22,14 +23,6 @@ from .coeffsets import CoeffSet, SignalVector
 from .seeds import as_rng
 
 DFT_SIGN = +1.0  # exponent sign of the forward transform
-
-
-class OperatorKind(enum.Enum):
-    DENSE = "dense"
-    BLOCK_DIAG_REPEATED = "block_diag_repeated"
-    BLOCK_DIAG_DISTINCT = "block_diag_distinct"
-    ANISO_2D = "aniso_2d"
-    ISO_2D = "iso_2d"
 
 
 @dataclass(frozen=True)
@@ -71,28 +64,38 @@ class ProblemSizes:
 
 
 def real_rep_matrix(block, ambient):
-    """Real representation of a (possibly complex) matrix.
+    """Real representation of a (possibly complex) matrix, or of each matrix
+    in a (..., m, M) stack.
 
     ambient 1: complex rows split into interleaved (re, im) real rows.
     ambient 2: each entry a+ib becomes [[a, -b], [b, a]].
     Real input matrices pass through (ambient 1) or act pair-wise (ambient 2).
     """
     block = np.asarray(block)
-    m, M = block.shape
+    *lead, m, M = block.shape
     a = block.real.astype(float)
     b = block.imag.astype(float) if np.iscomplexobj(block) else np.zeros_like(a)
     if ambient == 1:
         if not np.iscomplexobj(block):
-            return a.copy()
-        out = np.empty((2 * m, M))
-        out[0::2] = a
-        out[1::2] = b
+            return a
+        out = np.empty((*lead, 2 * m, M))
+        out[..., 0::2, :] = a
+        out[..., 1::2, :] = b
         return out
-    out = np.zeros((2 * m, 2 * M))
-    out[0::2, 0::2] = a
-    out[0::2, 1::2] = -b
-    out[1::2, 0::2] = b
-    out[1::2, 1::2] = a
+    out = np.zeros((*lead, 2 * m, 2 * M))
+    out[..., 0::2, 0::2] = a
+    out[..., 0::2, 1::2] = -b
+    out[..., 1::2, 0::2] = b
+    out[..., 1::2, 1::2] = a
+    return out
+
+
+def _block_diag(stack):
+    """Dense block-diagonal matrix with the (B, r, c) stack down its diagonal."""
+    B, r, c = stack.shape
+    out = np.zeros((B * r, B * c), dtype=stack.dtype)
+    for b in range(B):
+        out[b * r:(b + 1) * r, b * c:(b + 1) * c] = stack[b]
     return out
 
 
@@ -100,15 +103,13 @@ def real_rep_matrix(block, ambient):
 class MeasurementOperator:
     """An n x N linear map given by its diagonal blocks plus provenance.
 
-    `rows`/`cols` count coefficients (complex coefficients count once);
-    real dimensions follow from the coefficient set at application time.
-    BLOCK_DIAG_REPEATED stores a single block applied B times.
+    `blocks` is a (k, m, M) array holding either all k = num_blocks diagonal
+    blocks or, with k = 1, one block repeated down the diagonal.  `rows` and
+    `cols` count coefficients (complex coefficients count once); real
+    dimensions follow from the coefficient set at application time.
     """
 
-    kind: OperatorKind
-    rows: int
-    cols: int
-    blocks: list
+    blocks: np.ndarray
     num_blocks: int = 1
     sample_set: list = None
     descriptor: dict = field(default=None, repr=False)
@@ -117,48 +118,46 @@ class MeasurementOperator:
 
     @property
     def block_shape(self):
-        m, M = self.blocks[0].shape
-        return m, M
+        return self.blocks.shape[1:]
+
+    @property
+    def rows(self):
+        return self.num_blocks * self.blocks.shape[1]
+
+    @property
+    def cols(self):
+        return self.num_blocks * self.blocks.shape[2]
 
     @property
     def is_complex(self):
-        return any(np.iscomplexobj(b) for b in self.blocks)
+        return np.iscomplexobj(self.blocks)
+
+    @property
+    def shared(self):
+        """One stored block serves every diagonal position, so the solver
+        needs one projector for all of them."""
+        return len(self.blocks) == 1
 
     def real_block_stack(self, coeff_set):
         """(B, r, c) stack of real-representation blocks for the solver,
         built once per coefficient set; the cached array is read-only."""
         if coeff_set not in self._real_stacks:
-            reals = [real_rep_matrix(b, coeff_set.ambient_dim) for b in self.blocks]
-            stack = np.broadcast_to(reals[0], (self.num_blocks,) + reals[0].shape) \
-                if self.kind is OperatorKind.BLOCK_DIAG_REPEATED else np.stack(reals)
+            real = real_rep_matrix(self.blocks, coeff_set.ambient_dim)
+            stack = np.broadcast_to(real, (self.num_blocks,) + real.shape[1:])
             stack.flags.writeable = False
             self._real_stacks[coeff_set] = stack
         return self._real_stacks[coeff_set]
 
     def dense_real(self, coeff_set):
         """Dense real matrix; reference path for all checks."""
-        stack = self.real_block_stack(coeff_set)
-        B, r, c = stack.shape
-        if B == 1:
-            return stack[0].copy()
-        out = np.zeros((B * r, B * c))
-        for b in range(B):
-            out[b * r:(b + 1) * r, b * c:(b + 1) * c] = stack[b]
-        return out
+        return _block_diag(self.real_block_stack(coeff_set))
 
     def dense_complex(self):
-        """Dense complex matrix (Fourier provenance operators only)."""
-        if self.kind in (OperatorKind.ANISO_2D, OperatorKind.ISO_2D):
-            return self.blocks[0].copy()
+        """Dense complex matrix (operators with complex blocks only)."""
         if not self.is_complex:
             raise ValueError("operator has no complex representation")
-        m, M = self.block_shape
-        out = np.zeros((self.rows, self.cols), dtype=complex)
-        for b in range(self.num_blocks):
-            blk = self.blocks[0] if self.kind is OperatorKind.BLOCK_DIAG_REPEATED \
-                else self.blocks[b]
-            out[b * m:(b + 1) * m, b * M:(b + 1) * M] = blk
-        return out
+        return _block_diag(np.broadcast_to(
+            self.blocks, (self.num_blocks,) + self.block_shape))
 
     def apply(self, x_real, coeff_set):
         """Apply to a real-representation vector, returning real measurements."""
@@ -290,11 +289,7 @@ def make_block_diagonal(blocks, B, repeated=False, descriptor=None):
         shapes = {b.shape for b in blocks}
         if len(shapes) != 1:
             raise ValueError(f"blocks must share one shape, got {shapes}")
-    m, M = blocks[0].shape
-    kind = OperatorKind.BLOCK_DIAG_REPEATED if repeated \
-        else OperatorKind.BLOCK_DIAG_DISTINCT
-    return MeasurementOperator(kind=kind, rows=B * m, cols=B * M,
-                               blocks=blocks, num_blocks=B,
+    return MeasurementOperator(blocks=np.stack(blocks), num_blocks=B,
                                descriptor=descriptor)
 
 
@@ -306,13 +301,10 @@ def aniso_sampler_2d(M, K1):
     partial DFT block, so the Gram matrix is I_M (x) A1*A1.
     """
     A1 = partial_dft_block(M, K1)
-    m = A1.shape[0]
     F = partial_dft_block(M, range(M))  # full unitary DFT
     dense = np.kron(F, A1)
     K1 = sorted(int(k) for k in K1)
-    return MeasurementOperator(kind=OperatorKind.ANISO_2D, rows=m * M,
-                               cols=M * M, blocks=[dense], num_blocks=1,
-                               sample_set=K1,
+    return MeasurementOperator(blocks=dense[None], sample_set=K1,
                                descriptor={"builder": "aniso_2d", "M": M,
                                            "K1": K1})
 
@@ -332,8 +324,7 @@ def iso_sampler_2d(M, n, seed=None):
         rows[i] = row.reshape(-1)
     seed_val = None if seed is None or isinstance(seed, np.random.Generator) \
         else int(seed)
-    return MeasurementOperator(kind=OperatorKind.ISO_2D, rows=n, cols=M * M,
-                               blocks=[rows], num_blocks=1, sample_set=pairs,
+    return MeasurementOperator(blocks=rows[None], sample_set=pairs,
                                descriptor={"builder": "iso_2d", "M": M,
                                            "n": n, "seed": seed_val})
 

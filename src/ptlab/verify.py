@@ -11,9 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffsets import CoeffSet
-from .ensembles import (DFT_SIGN, MeasurementOperator, OperatorKind,
-                        aniso_sampler_2d, min_column_minor, partial_dft_block,
-                        rbpft)
+from .ensembles import (DFT_SIGN, MeasurementOperator, aniso_sampler_2d,
+                        min_column_minor, partial_dft_block, rbpft)
 from .seeds import stream
 from .solver import DEFAULT_OPTIONS, SolveStatus, solve_p1
 
@@ -44,9 +43,10 @@ def _gram(dense):
 def check_gram_structure(op):
     """Dense Gram of a 2D anisotropic Fourier sampler: block-diagonal with
     identical blocks whose rank is the number of sampled frequencies."""
-    if not isinstance(op, MeasurementOperator) or op.kind is not OperatorKind.ANISO_2D:
-        raise ValueError("Gram structure check needs an ANISO_2D operator")
-    M = int(round(np.sqrt(op.cols)))
+    if not isinstance(op, MeasurementOperator) or op.descriptor is None or \
+            op.descriptor.get("builder") != "aniso_2d":
+        raise ValueError("Gram structure check needs an aniso_2d operator")
+    M = op.descriptor["M"]
     K1 = list(op.sample_set)
     G = _gram(op.dense_complex())
     blocks = [G[b * M:(b + 1) * M, b * M:(b + 1) * M] for b in range(M)]
@@ -78,12 +78,6 @@ def eigvec_residuals(G1, M, K1):
         else:
             outside.append(np.linalg.norm(gv))
     return np.array(inside), np.array(outside)
-
-
-def check_eigvecs(op):
-    """(residuals for l in K1, ||G^(1) V_l|| for l outside K1)."""
-    report = check_gram_structure(op)
-    return report.eigvec_residuals, report.complement_norms
 
 
 # ---------------------------------------------------------------------------

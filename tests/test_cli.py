@@ -6,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
+from ptlab import cli
 from ptlab.cli import main
-from ptlab.experiments import CSV_COLUMNS, SuccessTable
+from ptlab.experiments import CSV_COLUMNS, SuccessRow, SuccessTable
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +152,27 @@ def test_interrupted_grid_leaves_no_partial_table(tmp_path, monkeypatch):
         main(["grid", "--config", str(path), "-o", str(outdir),
               "--jobs", "1"])
     assert os.listdir(outdir) == []
+
+
+def test_interrupted_fit_leaves_no_partial_output(capsys, tmp_path,
+                                                   monkeypatch):
+    rows = [SuccessRow(ell, 4, 8, 2, 40, s, s / 40, "dbuse", "real", 3)
+            for ell, s in enumerate([40, 38, 30, 15, 5, 0])]
+    (tmp_path / "table.csv").write_text(SuccessTable(rows).to_csv_string())
+    monkeypatch.chdir(tmp_path)   # "-o fit.csv" has no directory part
+
+    def interrupted_fit(table, link):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "fit_quantal", interrupted_fit)
+        with pytest.raises(KeyboardInterrupt):
+            main(["fit", "--input", "table.csv", "-o", "fit.csv"])
+    assert os.listdir(tmp_path) == ["table.csv"]
+    code, _, _ = run_cli(capsys, "fit", "--input", "table.csv",
+                         "-o", "fit.csv")
+    assert code == 0
+    assert len(list(csv.DictReader(open("fit.csv")))) == 1
 
 
 def test_test_subcommand_json(capsys):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from ptlab.coeffsets import CoeffSet, count_free
-from ptlab.ensembles import (MeasurementOperator, OperatorKind, ProblemSizes,
+from ptlab.ensembles import (DFT_SIGN, MeasurementOperator, ProblemSizes,
                              aniso_sampler_2d, dbuse, general_position_rows,
                              iso_sampler_2d, make_block_diagonal,
                              min_column_minor, operator_from_descriptor,
@@ -234,6 +235,64 @@ def test_real_block_stack_cached_read_only():
             assert not stack.flags.writeable
             with pytest.raises(ValueError):
                 stack[0, 0, 0] = 1.0
+
+
+def block_stack_cases():
+    """(operator, its diagonal blocks built from the primitives, shared)."""
+    def iso_rows(M, pairs):
+        t = np.arange(M)
+        return np.array([(np.exp(DFT_SIGN * 2j * np.pi
+                                 * np.add.outer(k0 * t, k1 * t) / M) / M)
+                         .reshape(-1) for k0, k1 in pairs])
+
+    rng3, rng4 = np.random.default_rng(3), np.random.default_rng(4)
+    iso = iso_sampler_2d(5, 11, seed=4)
+    return [
+        (rbuse(3, 6, 4, "real", seed=1), [sample_use(3, 6, "real", 1)] * 4,
+         True),
+        (rbuse(3, 6, 4, "complex", seed=2),
+         [sample_use(3, 6, "complex", 2)] * 4, True),
+        (dbuse(3, 6, 1, "real", seed=3), [sample_use(3, 6, "real", rng3)],
+         True),
+        (dbuse(3, 6, 3, "complex", seed=4),
+         [sample_use(3, 6, "complex", rng4) for _ in range(3)], False),
+        (rbpft(7, [0, 2, 3], 5), [partial_dft_block(7, [0, 2, 3])] * 5, True),
+        (rb_real_dft(9, [0, 1, 4, 6], 3),
+         [partial_real_dft_block(9, [0, 1, 4, 6])] * 3, True),
+        (aniso_sampler_2d(5, [1, 3]),
+         [np.kron(partial_dft_block(5, range(5)),
+                  partial_dft_block(5, [1, 3]))], True),
+        (iso, [iso_rows(5, iso.sample_set)], True),
+    ]
+
+
+def test_block_stack_matches_per_block_matrices():
+    for op, blocks, shared in block_stack_cases():
+        B = len(blocks)
+        m, M = blocks[0].shape
+        assert op.num_blocks == B and op.shared is shared
+        assert op.block_shape == (m, M)
+        assert (op.rows, op.cols) == (B * m, B * M)
+        if op.is_complex:
+            assert np.array_equal(op.dense_complex(), block_diag(*blocks))
+        else:
+            with pytest.raises(ValueError):
+                op.dense_complex()
+        for cs in CoeffSet:
+            reals = [real_rep_matrix(b, cs.ambient_dim) for b in blocks]
+            assert np.array_equal(op.dense_real(cs), block_diag(*reals))
+            assert np.array_equal(op.real_block_stack(cs), np.stack(reals))
+
+
+def test_real_rep_matrix_on_stack():
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+    for arr in (stack, stack.real):
+        for ambient in (1, 2):
+            out = real_rep_matrix(arr, ambient)
+            assert out.shape[0] == 3
+            for b in range(3):
+                assert np.array_equal(out[b], real_rep_matrix(arr[b], ambient))
 
 
 def test_real_rep_matrix_conventions():

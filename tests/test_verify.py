@@ -5,7 +5,7 @@ from ptlab.coeffsets import CoeffSet
 from ptlab.ensembles import (ProblemSizes, aniso_sampler_2d, iso_sampler_2d,
                              partial_dft_block, rbuse, sample_signal)
 from ptlab.solver import solve_p1
-from ptlab.verify import (EquivalenceOutcome, check_eigvecs, check_equivalence,
+from ptlab.verify import (EquivalenceOutcome, check_equivalence,
                           check_gram_structure, check_isometry_factorization,
                           dense_aniso_entrywise, reduce_rank_deficient,
                           run_verification_suite, tao_min_minor)
@@ -36,7 +36,8 @@ def test_gram_rejects_non_fourier():
 
 
 def test_eigvec_residuals_8():
-    inside, outside = check_eigvecs(aniso_sampler_2d(8, [1, 4, 6]))
+    rep = check_gram_structure(aniso_sampler_2d(8, [1, 4, 6]))
+    inside, outside = rep.eigvec_residuals, rep.complement_norms
     assert inside.shape == (3,)
     assert inside.max() < 1e-10
     assert outside.max() < 1e-10
