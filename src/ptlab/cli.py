@@ -69,13 +69,6 @@ def _load_config(args):
     if env_seed is not None:
         raw["master_seed"] = int(env_seed)
     config = ExperimentConfig.from_dict(raw)
-    overrides = {}
-    for name in ("feas_tol", "max_iters", "rho"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
-    if overrides:
-        config = replace(config, solver=replace(config.solver, **overrides))
     if getattr(args, "jobs", None):
         config = replace(config, jobs=args.jobs)
     return config, raw
@@ -144,7 +137,9 @@ def cmd_grid(args):
     table = run_phase_grid(config, ell_values)
     with _atomic_artifact(args.outdir, "success_table.csv") as fh:
         table.to_csv(fh)
-    _write_manifest(args.outdir, "grid", config.to_dict(), config.master_seed)
+    # the swept ells, in table order, so the manifest's config reproduces it
+    payload = dict(config.to_dict(), ell_values=[r.ell for r in table.rows])
+    _write_manifest(args.outdir, "grid", payload, config.master_seed)
     print(f"{len(table.rows)} grid cells written to {args.outdir}")
     return 0
 
@@ -225,9 +220,6 @@ def build_parser():
         p.add_argument("--jobs", type=int, default=os.cpu_count(),
                        help="worker processes (default: available cores); "
                             "results never depend on this")
-        p.add_argument("--feas-tol", dest="feas_tol", type=float, default=None)
-        p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-        p.add_argument("--rho", type=float, default=None)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("fit", help="quantal-response fit of a campaign CSV")

@@ -73,12 +73,12 @@ class SignalVector:
         amb = self.coeff_set.ambient_dim
         return self.values.reshape(self.num_blocks, amb * self.block_size)
 
-    def is_member(self, tol=0.0):
-        """Membership in the coefficient set (exact by default)."""
+    def is_member(self):
+        """Exact membership in the coefficient set."""
         if self.coeff_set is CoeffSet.BOX01:
-            return bool(np.all(self.values >= -tol) and np.all(self.values <= 1 + tol))
+            return bool(np.all((self.values >= 0.0) & (self.values <= 1.0)))
         if self.coeff_set is CoeffSet.NONNEG:
-            return bool(np.all(self.values >= -tol))
+            return bool(np.all(self.values >= 0.0))
         return True
 
 
@@ -109,10 +109,6 @@ def prox_step(values, t, coeff_set):
     """
     if t <= 0:
         raise ValueError("prox step size must be positive")
-    if isinstance(values, SignalVector):
-        out = prox_step(values.values, t, values.coeff_set)
-        return SignalVector(out, values.coeff_set, values.block_size,
-                            values.num_blocks)
     v = np.asarray(values, dtype=float)
     if coeff_set is CoeffSet.REAL:
         return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)

@@ -23,6 +23,8 @@ from .coeffsets import CoeffSet, SignalVector
 from .seeds import as_rng
 
 DFT_SIGN = +1.0  # exponent sign of the forward transform
+GENERAL_POSITION_TOL = 1e-9   # smallest |minor| accepted as nonsingular
+GENERAL_POSITION_TRIES = 200  # draws before general_position_rows gives up
 
 
 @dataclass(frozen=True)
@@ -246,8 +248,7 @@ def min_column_minor(block):
     return float(np.abs(dets).min())
 
 
-def general_position_rows(M, m, seed=None, tol=1e-9, max_tries=200,
-                          include_dc=True):
+def general_position_rows(M, m, seed=None, include_dc=True):
     """Seeded search for m real-DFT rows whose block has columns in general
     position; some structured row subsets have exactly singular minors, so
     each draw is verified before being returned.
@@ -258,20 +259,27 @@ def general_position_rows(M, m, seed=None, tol=1e-9, max_tries=200,
     empirical success rate follows the exact section-counting formula.
     """
     rng = as_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(GENERAL_POSITION_TRIES):
         if include_dc:
             rows = np.concatenate(
                 [[0], rng.choice(np.arange(1, M), size=m - 1, replace=False)])
             rows = np.sort(rows)
         else:
             rows = np.sort(rng.choice(M, size=m, replace=False))
-        if min_column_minor(real_dft_matrix(M)[rows]) > tol:
+        if min_column_minor(real_dft_matrix(M)[rows]) > GENERAL_POSITION_TOL:
             return rows
     raise RuntimeError(f"no general-position row set found for (M={M}, m={m})")
 
 
 # ---------------------------------------------------------------------------
 # operator constructors
+
+def _seeded(seed, **descriptor):
+    """Descriptor of a randomly drawn operator: only an int seed replays the
+    draw, so a Generator or fresh entropy (None) leaves no descriptor."""
+    return dict(descriptor, seed=int(seed)) \
+        if isinstance(seed, (int, np.integer)) else None
+
 
 def make_block_diagonal(blocks, B, repeated=False, descriptor=None):
     """Block-diagonal operator of size (B*m) x (B*M).
@@ -322,30 +330,24 @@ def iso_sampler_2d(M, n, seed=None):
     for i, (k0, k1) in enumerate(pairs):
         row = np.exp(DFT_SIGN * 2j * np.pi * (np.add.outer(k0 * t, k1 * t)) / M) / M
         rows[i] = row.reshape(-1)
-    seed_val = None if seed is None or isinstance(seed, np.random.Generator) \
-        else int(seed)
     return MeasurementOperator(blocks=rows[None], sample_set=pairs,
-                               descriptor={"builder": "iso_2d", "M": M,
-                                           "n": n, "seed": seed_val})
+                               descriptor=_seeded(seed, builder="iso_2d",
+                                                  M=M, n=n))
 
 
 def rbuse(m, M, B, field_name="real", seed=None):
     blk = sample_use(m, M, field_name, seed)
-    seed_val = None if isinstance(seed, np.random.Generator) else seed
     return make_block_diagonal([blk], B, repeated=True,
-                               descriptor={"builder": "rbuse", "m": m, "M": M,
-                                           "B": B, "field": field_name,
-                                           "seed": seed_val})
+                               descriptor=_seeded(seed, builder="rbuse", m=m,
+                                                  M=M, B=B, field=field_name))
 
 
 def dbuse(m, M, B, field_name="real", seed=None):
     rng = as_rng(seed)
     blocks = [sample_use(m, M, field_name, rng) for _ in range(B)]
-    seed_val = None if isinstance(seed, np.random.Generator) else seed
     return make_block_diagonal(blocks, B,
-                               descriptor={"builder": "dbuse", "m": m, "M": M,
-                                           "B": B, "field": field_name,
-                                           "seed": seed_val})
+                               descriptor=_seeded(seed, builder="dbuse", m=m,
+                                                  M=M, B=B, field=field_name))
 
 
 def rbpft(M, K, B):

@@ -89,10 +89,6 @@ class CriticalSparsity:
     def eps_star(self):
         return self.ell_star / self.M
 
-    @property
-    def k_star(self):
-        return self.B * self.ell_star
-
 
 def default_q_star(B):
     return Q_STAR_SINGLE if B == 1 else Q_STAR_MULTI

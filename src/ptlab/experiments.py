@@ -13,7 +13,7 @@ import itertools
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from . import ensembles, predict
 from .coeffsets import CoeffSet, parse_coeffset
 from .ensembles import ProblemSizes
 from .seeds import stream
-from .solver import (DEFAULT_OPTIONS, SUCCESS_THRESHOLD, SolverOptions,
+# SUCCESS_THRESHOLD is unused here but stays importable: perfbench reads it
+from .solver import (DEFAULT_OPTIONS, SUCCESS_THRESHOLD, declare_success,
                      relative_error, solve_p1)
 
 MULTIBLOCK_N_LIMIT = 4096
@@ -43,7 +44,6 @@ class ExperimentConfig:
     master_seed: int
     matrix_policy: str = "fresh"   # fresh matrix per trial, or "fixed"
     K: tuple = None                # frequencies/rows for the DFT ensembles
-    solver: SolverOptions = field(default=DEFAULT_OPTIONS)
     jobs: int = 1
 
     def __post_init__(self):
@@ -53,6 +53,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         if self.K is not None:
             object.__setattr__(self, "K", tuple(int(k) for k in self.K))
+
+    @property
+    def solver(self):
+        """Always solver.DEFAULT_OPTIONS, since the settings are fixed; kept
+        for callers that pass a config's settings to solve_p1."""
+        return DEFAULT_OPTIONS
 
     @property
     def sizes(self):
@@ -68,21 +74,21 @@ class ExperimentConfig:
              "S": self.S, "master_seed": self.master_seed,
              "matrix_policy": self.matrix_policy,
              "K": list(self.K) if self.K is not None else None,
-             "jobs": self.jobs,
-             "solver": {"tol": self.solver.tol,
-                        "feas_tol": self.solver.feas_tol,
-                        "max_iters": self.solver.max_iters,
-                        "rho": self.solver.rho}}
+             "jobs": self.jobs}
         return d
 
     @classmethod
     def from_dict(cls, d):
-        sov = d.get("solver") or {}
+        sov = dict(d.get("solver") or {})   # older manifests carry one
         if "obj_tol" in sov:
+            del sov["obj_tol"]
             warnings.warn("solver option obj_tol is no longer used; ignored")
-        opts = replace(DEFAULT_OPTIONS, **{k: sov[k] for k in
-                                           ("tol", "feas_tol", "max_iters",
-                                            "rho") if k in sov})
+        fixed = asdict(DEFAULT_OPTIONS)
+        changed = {k: v for k, v in sov.items()
+                   if k not in fixed or fixed[k] != v}
+        if changed:
+            raise ValueError(f"solver settings are fixed (ptlab.solver."
+                             f"DEFAULT_OPTIONS); the config sets {changed}")
         return cls(ensemble=d["ensemble"],
                    coeff_set=parse_coeffset(d["coeffset"]),
                    ell=int(d["ell"]), m=int(d["m"]), M=int(d["M"]),
@@ -90,7 +96,7 @@ class ExperimentConfig:
                    master_seed=int(d["master_seed"]),
                    matrix_policy=d.get("matrix_policy", "fresh"),
                    K=tuple(d["K"]) if d.get("K") else None,
-                   solver=opts, jobs=int(d.get("jobs", 1)))
+                   jobs=int(d.get("jobs", 1)))
 
 
 @dataclass
@@ -181,13 +187,13 @@ def run_one_trial(config, t):
                                  stream(config.master_seed, "signal", t))
     y = op.apply(x0.values, config.coeff_set)
     t0 = time.perf_counter()
-    res = solve_p1(op, y, config.coeff_set, config.solver)
+    res = solve_p1(op, y, config.coeff_set)
     wall = time.perf_counter() - t0
-    rel = relative_error(x0.values, res.x1.values)
     return TrialRecord(sizes=config.sizes, ensemble_id=config.ensemble,
                        coeff_set=config.coeff_set,
                        master_seed=config.master_seed, trial_index=t,
-                       rel_error=rel, success=rel < SUCCESS_THRESHOLD,
+                       rel_error=relative_error(x0.values, res.x1.values),
+                       success=declare_success(x0.values, res.x1.values),
                        solver_status=res.status.value,
                        iterations=res.iterations, wall_time=wall)
 
@@ -270,11 +276,11 @@ class CampaignResult:
 
 
 def single_block_campaign(ell, m, M, S, seed, coeff_set=CoeffSet.BOX01,
-                          ensemble="dbuse", solver=DEFAULT_OPTIONS, jobs=1):
+                          ensemble="dbuse", jobs=1):
     """S single-block solves; returns the mean failure rate and raw count."""
     config = ExperimentConfig(ensemble=ensemble, coeff_set=coeff_set,
                               ell=ell, m=m, M=M, B=1, S=S, master_seed=seed,
-                              solver=solver, jobs=jobs)
+                              jobs=jobs)
     records = run_trials(config)
     failures = sum(1 - r.success for r in records)
     return CampaignResult(y_bar=failures / S if S else 0.0,

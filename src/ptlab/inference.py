@@ -16,6 +16,9 @@ from scipy.special import ndtr, ndtri
 
 from .exactprob import Q_STAR_MULTI
 
+FIT_TOL = 1e-10        # IRLS stops once no coefficient moves by more
+FIT_MAX_ITERS = 100
+
 
 class Link(enum.Enum):
     PROBIT = "probit"
@@ -81,7 +84,7 @@ class QuantalFit:
     loglik: float
 
 
-def fit_quantal(table, link=Link.CLL, tol=1e-10, max_iters=100):
+def fit_quantal(table, link=Link.CLL):
     """Maximum-likelihood (a, b) for pi = invlink(a + b * eps).
 
     `table` is a SuccessTable at fixed (m, M, B) or an iterable of
@@ -103,7 +106,7 @@ def fit_quantal(table, link=Link.CLL, tol=1e-10, max_iters=100):
     ll = _loglik(y, S, X @ beta, link)
     converged = False
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, FIT_MAX_ITERS + 1):
         eta = X @ beta
         pi = np.clip(_inv_link(eta, link), 1e-12, 1.0 - 1e-12)
         d = _dpi(eta, link)
@@ -123,7 +126,7 @@ def fit_quantal(table, link=Link.CLL, tol=1e-10, max_iters=100):
             ll_new = _loglik(y, S, X @ beta_new, link)
         change = float(np.max(np.abs(beta_new - beta)))
         beta, ll = beta_new, ll_new
-        if change < tol:
+        if change < FIT_TOL:
             converged = True
             break
 

@@ -28,6 +28,9 @@ from .coeffsets import CoeffSet
 
 ORACLE_DIM_LIMIT = 64
 RESIDUAL_CERT = 1e-10
+BARRIER_GAP_TOL = 1e-10   # the barrier path ends at duality gap 2N/t <= this
+BARRIER_MU = 8.0          # barrier weight t grows by this factor per centering
+MAX_NEWTON = 80           # Newton steps per centering
 
 
 @dataclass
@@ -101,7 +104,7 @@ def _check(res):
 # ---------------------------------------------------------------------------
 # dense log-barrier engine for  min sum_i s_i  s.t.  A x = y, ||x_i|| <= s_i
 
-def socp_min_l1x(A, y, coeff_set, gap_tol=1e-10, mu=8.0):
+def socp_min_l1x(A, y, coeff_set):
     """Barrier path-following on the cone reformulation of (P_1,X).
 
     REAL uses 1-d cones s_i >= |x_i|; COMPLEX uses 2-d cones on the (re, im)
@@ -115,8 +118,8 @@ def socp_min_l1x(A, y, coeff_set, gap_tol=1e-10, mu=8.0):
     the Newton decrement; that bounds the centering error in sum_i s_i by
     about 1e-11, whereas an absolute stop is out of reach of roundoff once
     t is large.  The path ends when the duality gap 2N / t is at most
-    `gap_tol`.  Returns an OracleResult whose value is sum_i ||x_i|| at the
-    returned x and whose residual is ||A x - y||_2.
+    BARRIER_GAP_TOL.  Returns an OracleResult whose value is sum_i ||x_i||
+    at the returned x and whose residual is ||A x - y||_2.
     """
     if coeff_set is CoeffSet.COMPLEX:
         b = 2
@@ -138,15 +141,15 @@ def socp_min_l1x(A, y, coeff_set, gap_tol=1e-10, mu=8.0):
 
     while True:
         s, x = _center(Z, s, x, t, N, b)
-        if nu / t <= gap_tol:
+        if nu / t <= BARRIER_GAP_TOL:
             break
-        t *= mu
+        t *= BARRIER_MU
     # cone slacks at the end are gap-sized; report the actual norms
     value = float(np.linalg.norm(x.reshape(N, b), axis=1).sum())
     return _result(A, y, value, x)
 
 
-def _center(Z, s, x, t, N, b, max_newton=80):
+def _center(Z, s, x, t, N, b):
     """Newton centering at weight t, with steps restricted to x + range(Z)."""
     k = Z.shape[1]
     Zc = Z.reshape(N, b, k)
@@ -157,7 +160,7 @@ def _center(Z, s, x, t, N, b, max_newton=80):
             return np.inf
         return t * ss.sum() - np.log(dd).sum()
 
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON):
         X = x.reshape(N, b)
         d = s ** 2 - (X ** 2).sum(axis=1)
         u = np.einsum("ib,ibk->ik", X, Zc)  # x_i^T Z_i, one row per cone

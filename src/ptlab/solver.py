@@ -20,6 +20,7 @@ from .coeffsets import CoeffSet, SignalVector, norm_l1x, prox_step
 from .ensembles import MeasurementOperator
 
 SUCCESS_THRESHOLD = 1e-3   # relative l2 error below which recovery succeeds
+POLISH_ACT_TOL = 1e-4      # polish: |coordinate| above which it stays free
 
 
 class SolveStatus(enum.Enum):
@@ -104,7 +105,7 @@ def admm_l1x(stack, y_blocks, coeff_set, opts=DEFAULT_OPTIONS, shared=False):
     return z, SolveStatus.MAX_ITERS, r_norm, s_norm, it
 
 
-def _polish_block(Ab, yb, zb, coeff_set, act_tol=1e-4):
+def _polish_block(Ab, yb, zb, coeff_set):
     """Active-set refinement of one nearly-converged block solution.
 
     Pins coordinates at the pattern read off zb and least-squares the free
@@ -112,17 +113,17 @@ def _polish_block(Ab, yb, zb, coeff_set, act_tol=1e-4):
     the measurements worse than zb."""
     if coeff_set is CoeffSet.COMPLEX:
         pairs = zb.reshape(-1, 2)
-        free = np.linalg.norm(pairs, axis=1) > act_tol
+        free = np.linalg.norm(pairs, axis=1) > POLISH_ACT_TOL
         free_cols = np.repeat(free, 2)
         target = yb
         fixed = np.zeros_like(zb)
     elif coeff_set is CoeffSet.BOX01:
-        at_one = zb > 1.0 - act_tol
-        free_cols = (zb > act_tol) & ~at_one
+        at_one = zb > 1.0 - POLISH_ACT_TOL
+        free_cols = (zb > POLISH_ACT_TOL) & ~at_one
         fixed = np.where(at_one, 1.0, 0.0)
         target = yb - Ab @ fixed
     else:
-        free_cols = np.abs(zb) > act_tol
+        free_cols = np.abs(zb) > POLISH_ACT_TOL
         fixed = np.zeros_like(zb)
         target = yb
     x = fixed.copy()
@@ -191,9 +192,9 @@ def solve_p1(A, y_real, coeff_set, opts=DEFAULT_OPTIONS):
                        value=norm_l1x(values, coeff_set))
 
 
-def declare_success(x0, x1, threshold=SUCCESS_THRESHOLD):
-    """Reconstruction success: relative l2 error below the fixed threshold."""
-    return relative_error(x0, x1) < threshold
+def declare_success(x0, x1):
+    """Reconstruction success: relative l2 error below SUCCESS_THRESHOLD."""
+    return relative_error(x0, x1) < SUCCESS_THRESHOLD
 
 
 def relative_error(x0, x1):

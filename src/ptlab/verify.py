@@ -6,17 +6,19 @@ the rest of the package, not performance paths.
 """
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coeffsets import CoeffSet
-from .ensembles import (DFT_SIGN, MeasurementOperator, aniso_sampler_2d,
-                        min_column_minor, partial_dft_block, rbpft)
+from .ensembles import (DFT_SIGN, MeasurementOperator, ProblemSizes,
+                        aniso_sampler_2d, min_column_minor, partial_dft_block,
+                        rbpft, sample_signal)
 from .seeds import stream
-from .solver import DEFAULT_OPTIONS, SolveStatus, solve_p1
+from .solver import SolveStatus, solve_p1
 
-import itertools
+RANK_REL_THRESHOLD = 1e-10   # rank cut, relative to the largest singular value
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +93,7 @@ class ReducedSystem:
     ambiguous: bool   # a singular value fell within 10x of the threshold
 
 
-def reduce_rank_deficient(G, b, rel_threshold=1e-10):
+def reduce_rank_deficient(G, b):
     """Full-row-rank system with the same solution set as G x = b.
 
     Via the SVD G = U S V^T: A = V_r^T and y = S_r^{-1} U_r^T b.  Rank
@@ -102,7 +104,7 @@ def reduce_rank_deficient(G, b, rel_threshold=1e-10):
     b = np.asarray(b, dtype=float)
     U, s, Vt = np.linalg.svd(G, full_matrices=False)
     smax = s[0] if s.size else 0.0
-    thr = rel_threshold * smax
+    thr = RANK_REL_THRESHOLD * smax
     rank = int((s > thr).sum())
     ambiguous = bool(np.any((s > thr / 10.0) & (s < thr * 10.0))) if smax > 0 else False
     A = Vt[:rank]
@@ -131,16 +133,12 @@ class EquivalenceReport:
     status_blockdiag: SolveStatus
     outcome: EquivalenceOutcome
 
-    @property
-    def passed(self):
-        return self.outcome is EquivalenceOutcome.PASS
-
 
 VALUE_GAP_REL = 1e-6
 SOLUTION_GAP_ABS = 1e-4
 
 
-def check_equivalence(M, K1, x0_values, coeff_set, opts=DEFAULT_OPTIONS):
+def check_equivalence(M, K1, x0_values, coeff_set):
     """Solve the array problem through the 2D sampler and the vector problem
     through the repeated partial-DFT block operator, and compare."""
     if M > 16:
@@ -150,8 +148,8 @@ def check_equivalence(M, K1, x0_values, coeff_set, opts=DEFAULT_OPTIONS):
     x0 = np.asarray(x0_values, dtype=float)
     op_aus = aniso_sampler_2d(M, K1)
     op_bd = rbpft(M, K1, M)
-    res_a = solve_p1(op_aus, op_aus.apply(x0, coeff_set), coeff_set, opts)
-    res_b = solve_p1(op_bd, op_bd.apply(x0, coeff_set), coeff_set, opts)
+    res_a = solve_p1(op_aus, op_aus.apply(x0, coeff_set), coeff_set)
+    res_b = solve_p1(op_bd, op_bd.apply(x0, coeff_set), coeff_set)
     gap_v = abs(res_a.value - res_b.value)
     gap_x = float(np.linalg.norm(res_a.x1.values - res_b.x1.values))
     if res_a.status is not SolveStatus.CONVERGED or \
@@ -245,6 +243,8 @@ def tao_min_minor(M, m):
 
 GRAM_CASES = [(4, (0, 2)), (4, (1, 3)), (8, (1, 4, 6)), (8, (0, 2, 5, 7))]
 FACTORIZATION_CASES = [(4, (0, 2)), (8, (1, 4, 6))]
+TAO_CASES = [(5, 2), (7, 3)]           # (M, m), M prime
+EQUIVALENCE_CASE = (7, (0, 1, 3))      # (M, K1) of the equivalence sweep
 
 OFFBLOCK_TOL = 1e-10
 BLOCK_DEV_TOL = 1e-12
@@ -253,9 +253,7 @@ FACTORIZATION_TOL = 1e-12
 TAO_TOL = 1e-10
 
 
-def run_verification_suite(seed=0, instances=50, equivalence_m=7,
-                           equivalence_k1=(0, 1, 3), tao_sizes=((5, 2), (7, 3)),
-                           opts=DEFAULT_OPTIONS):
+def run_verification_suite(seed=0, instances=50):
     """Full structural verification; returns a JSON-ready report."""
     report = {"gram": [], "factorization": [], "tao": [],
               "equivalence": None, "pass": True}
@@ -288,24 +286,22 @@ def run_verification_suite(seed=0, instances=50, equivalence_m=7,
                                         "pass": ok})
         report["pass"] &= ok
 
-    for M, m in tao_sizes:
+    for M, m in TAO_CASES:
         mm = tao_min_minor(M, m)
         ok = bool(mm > TAO_TOL)
         report["tao"].append({"M": M, "m": m, "min_minor": mm, "pass": ok})
         report["pass"] &= ok
 
-    eq = equivalence_sweep(equivalence_m, equivalence_k1, instances, seed, opts)
+    eq = equivalence_sweep(*EQUIVALENCE_CASE, instances, seed)
     report["equivalence"] = eq
     report["pass"] &= eq["pass"]
     report["pass"] = bool(report["pass"])
     return report
 
 
-def equivalence_sweep(M, K1, instances, seed, opts=DEFAULT_OPTIONS,
-                      coeff_set=CoeffSet.COMPLEX):
-    """Random sparse instances through both pipelines; sparsity per block
-    cycles through 0, 1, 2 free coefficients."""
-    from .ensembles import ProblemSizes, sample_signal
+def equivalence_sweep(M, K1, instances, seed):
+    """Random sparse COMPLEX instances through both pipelines; sparsity per
+    block cycles through 0, 1, 2 free coefficients."""
     max_gap_v_rel = 0.0
     max_gap_x = 0.0
     undecided = 0
@@ -313,8 +309,8 @@ def equivalence_sweep(M, K1, instances, seed, opts=DEFAULT_OPTIONS,
     for i in range(instances):
         ell = (i % 3)
         sizes = ProblemSizes(ell=ell, m=len(K1), M=M, B=M)
-        x0 = sample_signal(sizes, coeff_set, stream(seed, "equiv", i))
-        rep = check_equivalence(M, K1, x0.values, coeff_set, opts)
+        x0 = sample_signal(sizes, CoeffSet.COMPLEX, stream(seed, "equiv", i))
+        rep = check_equivalence(M, K1, x0.values, CoeffSet.COMPLEX)
         if rep.outcome is EquivalenceOutcome.NO_DECISION:
             undecided += 1
             continue
@@ -326,7 +322,7 @@ def equivalence_sweep(M, K1, instances, seed, opts=DEFAULT_OPTIONS,
     ok = max_gap_v_rel <= VALUE_GAP_REL and max_gap_x <= SOLUTION_GAP_ABS \
         and undecided == 0
     return {"M": M, "K1": list(K1), "instances": instances,
-            "coeffset": coeff_set.value,
+            "coeffset": CoeffSet.COMPLEX.value,
             "max_value_gap_rel": max_gap_v_rel,
             "max_solution_gap": max_gap_x, "no_decision": undecided,
             "worst_instance": worst_case, "pass": bool(ok)}

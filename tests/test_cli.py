@@ -140,6 +140,58 @@ def test_grid_table_independent_of_jobs(capsys, tmp_path):
         (tmp_path / "j2" / "success_table.csv").read_bytes()
 
 
+def test_grid_manifest_reproduces_table(capsys, tmp_path):
+    path = tmp_path / "grid.json"
+    cfg = json.loads(grid_config(tmp_path).read_text())
+    path.write_text(json.dumps(dict(cfg, ell_values=[2, 0, 1])))
+    code, _, _ = run_cli(capsys, "grid", "--config", str(path),
+                         "-o", str(tmp_path / "a"), "--jobs", "1")
+    assert code == 0
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    rerun = tmp_path / "rerun.json"
+    rerun.write_text(json.dumps(manifest["config"]))
+    code, _, _ = run_cli(capsys, "grid", "--config", str(rerun),
+                         "-o", str(tmp_path / "b"), "--jobs", "1")
+    assert code == 0
+    table = (tmp_path / "a" / "success_table.csv").read_bytes()
+    assert len(table.splitlines()) == 4
+    assert (tmp_path / "b" / "success_table.csv").read_bytes() == table
+    assert manifest["config"]["ell_values"] == [2, 0, 1]
+
+
+MANIFEST_SOLVER_BLOCK = {"tol": 1e-9, "feas_tol": 1e-7, "max_iters": 50000,
+                         "rho": 1.0}
+
+
+def test_grid_default_solver_block_gives_same_table(capsys, tmp_path):
+    cfg = json.loads(grid_config(tmp_path).read_text())
+    with_block = tmp_path / "with_block.json"
+    with_block.write_text(json.dumps(dict(cfg, solver=MANIFEST_SOLVER_BLOCK)))
+    for name, path in (("plain", tmp_path / "grid.json"),
+                       ("block", with_block)):
+        code, _, _ = run_cli(capsys, "grid", "--config", str(path),
+                             "-o", str(tmp_path / name), "--jobs", "1")
+        assert code == 0
+    assert (tmp_path / "plain" / "success_table.csv").read_bytes() == \
+        (tmp_path / "block" / "success_table.csv").read_bytes()
+
+
+def test_grid_rejects_changed_solver_settings(capsys, tmp_path):
+    cfg = json.loads(grid_config(tmp_path).read_text())
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(dict(
+        cfg, solver=dict(MANIFEST_SOLVER_BLOCK, max_iters=10))))
+    code, _, err = run_cli(capsys, "grid", "--config", str(path),
+                           "-o", str(tmp_path / "out"), "--jobs", "1")
+    assert code == 2
+    assert "solver settings are fixed" in err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["grid", "--config", str(tmp_path / "grid.json"),
+              "-o", str(tmp_path / "out"), "--max-iters", "10"])
+    assert exc.value.code == 2
+
+
 def test_interrupted_grid_leaves_no_partial_table(tmp_path, monkeypatch):
     def interrupted_to_csv(self, fh):
         fh.write(",".join(CSV_COLUMNS) + "\n")

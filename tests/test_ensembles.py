@@ -319,6 +319,19 @@ def test_descriptor_round_trip():
         anon.to_descriptor()
 
 
+def test_descriptor_only_for_int_seed():
+    rng = np.random.default_rng
+    for build in (lambda seed: rbuse(3, 6, 2, "real", seed),
+                  lambda seed: dbuse(2, 5, 3, "complex", seed),
+                  lambda seed: iso_sampler_2d(5, 11, seed)):
+        for seed in (rng(0), None):
+            with pytest.raises(ValueError, match="provenance"):
+                build(seed).to_descriptor()
+        op = build(np.int64(7))
+        clone = operator_from_descriptor(op.to_json())
+        assert np.array_equal(clone.blocks, op.blocks)
+
+
 def test_sample_signal_zero_sparsity():
     sizes = ProblemSizes(ell=0, m=2, M=6, B=3)
     x = sample_signal(sizes, CoeffSet.REAL, seed=0)

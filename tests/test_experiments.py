@@ -9,6 +9,7 @@ from ptlab.coeffsets import CoeffSet
 from ptlab.exactprob import q_sb_exact
 from ptlab.experiments import (ExperimentConfig, SuccessTable, run_phase_grid,
                                run_trials, single_block_campaign, summarize)
+from ptlab.solver import DEFAULT_OPTIONS
 
 
 def tiny_config(**kw):
@@ -175,10 +176,28 @@ def test_config_dict_round_trip():
 def test_config_with_removed_obj_tol_loads_with_warning():
     config = tiny_config()
     d = config.to_dict()
-    assert "obj_tol" not in d["solver"]
-    d["solver"]["obj_tol"] = 1e-7
+    d["solver"] = {"obj_tol": 1e-7}
     with pytest.warns(UserWarning, match="obj_tol"):
         assert ExperimentConfig.from_dict(d) == config
+
+
+# the block every manifest held while the solver settings were configurable
+MANIFEST_SOLVER_BLOCK = {"tol": 1e-9, "feas_tol": 1e-7, "max_iters": 50000,
+                         "rho": 1.0}
+
+
+def test_config_solver_settings_are_fixed():
+    config = tiny_config()
+    d = config.to_dict()
+    assert "solver" not in d
+    assert config.solver is DEFAULT_OPTIONS
+    assert ExperimentConfig.from_dict(
+        dict(d, solver=MANIFEST_SOLVER_BLOCK)) == config
+    for changed in ({"max_iters": 10}, {"rho": 2.0}, {"tol": 1e-6},
+                    {"feas_tol": 1e-5}, {"adapt_every": 25}, {"gamma": 1}):
+        with pytest.raises(ValueError, match="solver settings are fixed"):
+            ExperimentConfig.from_dict(
+                dict(d, solver=dict(MANIFEST_SOLVER_BLOCK, **changed)))
 
 
 def test_config_validation():
