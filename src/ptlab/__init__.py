@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 from .coeffsets import CoeffSet, SignalVector, count_free, norm_l1x, parse_coeffset, prox_step
 from .ensembles import (MeasurementOperator, ProblemSizes, aniso_sampler_2d,
                         dbuse, iso_sampler_2d, make_block_diagonal,
-                        operator_from_descriptor, partial_dft_block,
-                        partial_real_dft_block, rbpft, rb_real_dft, rbuse,
-                        sample_signal, sample_use)
+                        partial_dft_block, partial_real_dft_block, rbpft,
+                        rb_real_dft, rbuse, sample_signal, sample_use)
 from .exactprob import (CriticalSparsity, binom_tail, continuum_ell0,
                         critical_ell, normal_approx, q_mb_exact, q_sb_exact,
                         tail_decay_check, uspensky_gap)

@@ -3,8 +3,7 @@
 Every run that produces artifacts also writes a manifest (config, seed,
 package version, timestamp) next to them; re-running a manifest's config
 reproduces the result CSVs byte for byte.  Numeric CSV fields are written
-with repr(), which round-trips doubles exactly.  The environment variable
-PTLAB_SEED overrides the master seed of campaign configs.
+with repr(), which round-trips doubles exactly.
 """
 
 import argparse
@@ -65,13 +64,15 @@ def _write_manifest(outdir, command, payload, seed):
 def _load_config(args):
     with open(args.config) as fh:
         raw = json.load(fh)
-    env_seed = os.environ.get("PTLAB_SEED")
-    if env_seed is not None:
-        raw["master_seed"] = int(env_seed)
-    config = ExperimentConfig.from_dict(raw)
-    if getattr(args, "jobs", None):
-        config = replace(config, jobs=args.jobs)
+    config = replace(ExperimentConfig.from_dict(raw), jobs=args.jobs)
     return config, raw
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def cmd_exactprob(args):
@@ -217,7 +218,8 @@ def build_parser():
         p = sub.add_parser(name, help=f"run a Monte-Carlo {name} campaign")
         p.add_argument("--config", required=True)
         p.add_argument("-o", "--outdir", required=True)
-        p.add_argument("--jobs", type=int, default=os.cpu_count(),
+        p.add_argument("--jobs", type=_positive_int,
+                       default=os.cpu_count() or 1,
                        help="worker processes (default: available cores); "
                             "results never depend on this")
         p.set_defaults(func=fn)

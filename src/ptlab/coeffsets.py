@@ -68,11 +68,6 @@ class SignalVector:
             raise ValueError(f"values must have shape ({expected},), "
                              f"got {self.values.shape}")
 
-    def blocks(self):
-        """View as (num_blocks, ambient*M)."""
-        amb = self.coeff_set.ambient_dim
-        return self.values.reshape(self.num_blocks, amb * self.block_size)
-
     def is_member(self):
         """Exact membership in the coefficient set."""
         if self.coeff_set is CoeffSet.BOX01:
@@ -86,12 +81,8 @@ def norm_l1x(values, coeff_set):
     """The l1-type norm induced by the coefficient set.
 
     Sum of absolute values for real sets; sum of Euclidean norms of the
-    (re, im) pairs for COMPLEX.  `values` may be a SignalVector or the raw
-    real-representation array.
+    (re, im) pairs for COMPLEX, of a real-representation array.
     """
-    if isinstance(values, SignalVector):
-        coeff_set = values.coeff_set
-        values = values.values
     values = np.asarray(values, dtype=float)
     if coeff_set.is_complex:
         pairs = values.reshape(-1, 2)

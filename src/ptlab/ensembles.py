@@ -14,7 +14,6 @@ sampler factors exactly through a repeated-block partial-DFT operator.
 """
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,7 +102,7 @@ def _block_diag(stack):
 
 @dataclass
 class MeasurementOperator:
-    """An n x N linear map given by its diagonal blocks plus provenance.
+    """An n x N linear map given by its diagonal blocks.
 
     `blocks` is a (k, m, M) array holding either all k = num_blocks diagonal
     blocks or, with k = 1, one block repeated down the diagonal.  `rows` and
@@ -114,7 +113,6 @@ class MeasurementOperator:
     blocks: np.ndarray
     num_blocks: int = 1
     sample_set: list = None
-    descriptor: dict = field(default=None, repr=False)
     _real_stacks: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
 
@@ -173,15 +171,6 @@ class MeasurementOperator:
         B, r, c = stack.shape
         yb = np.asarray(y_real, dtype=float).reshape(B, r)
         return np.einsum("brc,br->bc", stack, yb).reshape(B * c)
-
-    def to_descriptor(self):
-        if self.descriptor is None:
-            raise ValueError("operator has no serializable provenance "
-                             "(raw matrices are never serialized)")
-        return dict(self.descriptor)
-
-    def to_json(self):
-        return json.dumps(self.to_descriptor(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +263,7 @@ def general_position_rows(M, m, seed=None, include_dc=True):
 # ---------------------------------------------------------------------------
 # operator constructors
 
-def _seeded(seed, **descriptor):
-    """Descriptor of a randomly drawn operator: only an int seed replays the
-    draw, so a Generator or fresh entropy (None) leaves no descriptor."""
-    return dict(descriptor, seed=int(seed)) \
-        if isinstance(seed, (int, np.integer)) else None
-
-
-def make_block_diagonal(blocks, B, repeated=False, descriptor=None):
+def make_block_diagonal(blocks, B, repeated=False):
     """Block-diagonal operator of size (B*m) x (B*M).
 
     repeated=True takes exactly one block applied B times; otherwise exactly
@@ -297,8 +279,7 @@ def make_block_diagonal(blocks, B, repeated=False, descriptor=None):
         shapes = {b.shape for b in blocks}
         if len(shapes) != 1:
             raise ValueError(f"blocks must share one shape, got {shapes}")
-    return MeasurementOperator(blocks=np.stack(blocks), num_blocks=B,
-                               descriptor=descriptor)
+    return MeasurementOperator(blocks=np.stack(blocks), num_blocks=B)
 
 
 def aniso_sampler_2d(M, K1):
@@ -312,9 +293,7 @@ def aniso_sampler_2d(M, K1):
     F = partial_dft_block(M, range(M))  # full unitary DFT
     dense = np.kron(F, A1)
     K1 = sorted(int(k) for k in K1)
-    return MeasurementOperator(blocks=dense[None], sample_set=K1,
-                               descriptor={"builder": "aniso_2d", "M": M,
-                                           "K1": K1})
+    return MeasurementOperator(blocks=dense[None], sample_set=K1)
 
 
 def iso_sampler_2d(M, n, seed=None):
@@ -330,60 +309,30 @@ def iso_sampler_2d(M, n, seed=None):
     for i, (k0, k1) in enumerate(pairs):
         row = np.exp(DFT_SIGN * 2j * np.pi * (np.add.outer(k0 * t, k1 * t)) / M) / M
         rows[i] = row.reshape(-1)
-    return MeasurementOperator(blocks=rows[None], sample_set=pairs,
-                               descriptor=_seeded(seed, builder="iso_2d",
-                                                  M=M, n=n))
+    return MeasurementOperator(blocks=rows[None], sample_set=pairs)
 
 
 def rbuse(m, M, B, field_name="real", seed=None):
     blk = sample_use(m, M, field_name, seed)
-    return make_block_diagonal([blk], B, repeated=True,
-                               descriptor=_seeded(seed, builder="rbuse", m=m,
-                                                  M=M, B=B, field=field_name))
+    return make_block_diagonal([blk], B, repeated=True)
 
 
 def dbuse(m, M, B, field_name="real", seed=None):
     rng = as_rng(seed)
     blocks = [sample_use(m, M, field_name, rng) for _ in range(B)]
-    return make_block_diagonal(blocks, B,
-                               descriptor=_seeded(seed, builder="dbuse", m=m,
-                                                  M=M, B=B, field=field_name))
+    return make_block_diagonal(blocks, B)
 
 
 def rbpft(M, K, B):
     """Repeated-block partial complex DFT."""
-    K = sorted(int(k) for k in K)
-    return make_block_diagonal([partial_dft_block(M, K)], B, repeated=True,
-                               descriptor={"builder": "rbpft", "M": M,
-                                           "B": B, "K": K})
+    return make_block_diagonal([partial_dft_block(M, sorted(K))], B,
+                               repeated=True)
 
 
 def rb_real_dft(M, rows, B):
     """Repeated-block partial real (trigonometric) DFT."""
-    rows = sorted(int(r) for r in rows)
-    return make_block_diagonal([partial_real_dft_block(M, rows)], B,
-                               repeated=True,
-                               descriptor={"builder": "rb_real_dft", "M": M,
-                                           "B": B, "rows": rows})
-
-
-_BUILDERS = {
-    "rbuse": lambda d: rbuse(d["m"], d["M"], d["B"], d["field"], d["seed"]),
-    "dbuse": lambda d: dbuse(d["m"], d["M"], d["B"], d["field"], d["seed"]),
-    "rbpft": lambda d: rbpft(d["M"], d["K"], d["B"]),
-    "rb_real_dft": lambda d: rb_real_dft(d["M"], d["rows"], d["B"]),
-    "aniso_2d": lambda d: aniso_sampler_2d(d["M"], d["K1"]),
-    "iso_2d": lambda d: iso_sampler_2d(d["M"], d["n"], d["seed"]),
-}
-
-
-def operator_from_descriptor(descriptor):
-    if isinstance(descriptor, str):
-        descriptor = json.loads(descriptor)
-    name = descriptor.get("builder")
-    if name not in _BUILDERS:
-        raise ValueError(f"unknown operator builder {name!r}")
-    return _BUILDERS[name](descriptor)
+    return make_block_diagonal([partial_real_dft_block(M, sorted(rows))], B,
+                               repeated=True)
 
 
 # ---------------------------------------------------------------------------

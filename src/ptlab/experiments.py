@@ -31,6 +31,12 @@ SINGLE_BLOCK_M_LIMIT = 1024
 CSV_COLUMNS = ["ell", "m", "M", "B", "S", "successes", "pi_hat",
                "ensemble", "coeffset", "seed"]
 
+# the keys of a config file: to_dict's, plus the solver block older manifests
+# carry and the ell_values list a grid run sweeps
+CONFIG_REQUIRED = ("ensemble", "coeffset", "ell", "m", "M", "B", "S",
+                   "master_seed")
+CONFIG_OPTIONAL = ("matrix_policy", "K", "jobs", "solver", "ell_values")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -79,6 +85,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
+        missing = [k for k in CONFIG_REQUIRED if k not in d]
+        unknown = sorted(set(d) - set(CONFIG_REQUIRED + CONFIG_OPTIONAL))
+        if missing or unknown:
+            raise ValueError(f"config keys: missing {missing}, "
+                             f"unknown {unknown}")
         sov = dict(d.get("solver") or {})   # older manifests carry one
         if "obj_tol" in sov:
             del sov["obj_tol"]

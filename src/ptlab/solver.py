@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffsets import CoeffSet, SignalVector, norm_l1x, prox_step
-from .ensembles import MeasurementOperator
 
 SUCCESS_THRESHOLD = 1e-3   # relative l2 error below which recovery succeeds
 POLISH_ACT_TOL = 1e-4      # polish: |coordinate| above which it stays free
@@ -156,31 +155,22 @@ def _polish(stack, y_blocks, z, coeff_set):
 
 
 def solve_p1(A, y_real, coeff_set, opts=DEFAULT_OPTIONS):
-    """Solve (P_1,X) for a MeasurementOperator (or dense real matrix) A.
+    """Solve (P_1,X) for the MeasurementOperator A, block by block.
 
-    y_real is the real-representation measurement vector.  Operators are
-    solved per diagonal block; a dense matrix runs as a single block.
-    Solves that hit the iteration cap get an active-set polish before the
-    result is reported.
+    y_real is the real-representation measurement vector.  Solves that hit
+    the iteration cap get an active-set polish before the result is
+    reported.
     """
-    if isinstance(A, MeasurementOperator):
-        stack = A.real_block_stack(coeff_set)
-        M_block = A.block_shape[1]
-        B = stack.shape[0]
-        shared = A.shared
-    else:
-        stack = np.asarray(A, dtype=float)[None]
-        M_block = stack.shape[2] // coeff_set.ambient_dim
-        B = 1
-        shared = True
+    stack = A.real_block_stack(coeff_set)
+    B = stack.shape[0]
     y_blocks = np.asarray(y_real, dtype=float).reshape(B, stack.shape[1])
 
     z, status, r_norm, s_norm, iters = admm_l1x(stack, y_blocks, coeff_set,
-                                                opts, shared)
+                                                opts, A.shared)
     if status is SolveStatus.MAX_ITERS:
         z = _polish(stack, y_blocks, z, coeff_set)
     values = z.reshape(-1)
-    x1 = SignalVector(values, coeff_set, M_block, B)
+    x1 = SignalVector(values, coeff_set, A.block_shape[1], B)
 
     feas = float(np.linalg.norm(
         np.einsum("brc,bc->br", stack, z) - y_blocks))
@@ -200,8 +190,8 @@ def declare_success(x0, x1):
 def relative_error(x0, x1):
     """||x0 - x1|| / ||x0||; a zero reference scores 0 when x1 is zero too
     and 1 otherwise, so it succeeds only if recovered exactly."""
-    v0 = x0.values if isinstance(x0, SignalVector) else np.asarray(x0, float)
-    v1 = x1.values if isinstance(x1, SignalVector) else np.asarray(x1, float)
+    v0 = np.asarray(x0, dtype=float)
+    v1 = np.asarray(x1, dtype=float)
     if v0.shape != v1.shape:
         raise ValueError(f"shape mismatch: {v0.shape} vs {v1.shape}")
     n0 = np.linalg.norm(v0)

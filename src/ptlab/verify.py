@@ -7,14 +7,15 @@ the rest of the package, not performance paths.
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coeffsets import CoeffSet
-from .ensembles import (DFT_SIGN, MeasurementOperator, ProblemSizes,
-                        aniso_sampler_2d, min_column_minor, partial_dft_block,
-                        rbpft, sample_signal)
+from .ensembles import (DFT_SIGN, ProblemSizes, aniso_sampler_2d,
+                        min_column_minor, partial_dft_block, rbpft,
+                        sample_signal)
 from .seeds import stream
 from .solver import SolveStatus, solve_p1
 
@@ -44,12 +45,18 @@ def _gram(dense):
 
 def check_gram_structure(op):
     """Dense Gram of a 2D anisotropic Fourier sampler: block-diagonal with
-    identical blocks whose rank is the number of sampled frequencies."""
-    if not isinstance(op, MeasurementOperator) or op.descriptor is None or \
-            op.descriptor.get("builder") != "aniso_2d":
+    identical blocks whose rank is the number of sampled frequencies.
+
+    op must be shaped like aniso_sampler_2d(M, K1): one block of shape
+    (M*|K1|, M^2) with the nonempty int list K1 as its sample_set."""
+    K1 = op.sample_set
+    rows, cols = op.block_shape
+    M = math.isqrt(cols)
+    if len(op.blocks) != 1 or op.num_blocks != 1 or \
+            not isinstance(K1, list) or not K1 or \
+            not all(isinstance(k, (int, np.integer)) for k in K1) or \
+            M * M != cols or rows != M * len(K1):
         raise ValueError("Gram structure check needs an aniso_2d operator")
-    M = op.descriptor["M"]
-    K1 = list(op.sample_set)
     G = _gram(op.dense_complex())
     blocks = [G[b * M:(b + 1) * M, b * M:(b + 1) * M] for b in range(M)]
     mask = np.ones_like(G, dtype=bool)

@@ -34,7 +34,7 @@ def test_predict_complex_offset(capsys, tmp_path):
                          "--B", "192", "--delta", "0.5", "--order", "2",
                          "-o", str(out_file))
     assert code == 0
-    rows = list(csv.DictReader(open(out_file)))
+    rows = list(csv.DictReader(io.StringIO(out_file.read_text())))
     assert len(rows) == 1
     assert float(rows[0]["rel_offset"]) == pytest.approx(0.19482, abs=5e-6)
     assert rows[0]["extrapolated"] == "False"
@@ -86,18 +86,43 @@ def test_trials_reproducible_artifacts(capsys, tmp_path):
 def test_trials_csv_numbers_round_trip(capsys, tmp_path):
     path = trial_config(tmp_path)
     run_cli(capsys, "trials", "--config", str(path), "-o", str(tmp_path / "a"), "--jobs", "1")
-    rows = list(csv.DictReader(open(tmp_path / "a" / "trials.csv")))
+    rows = list(csv.DictReader(io.StringIO(
+        (tmp_path / "a" / "trials.csv").read_text())))
     for r in rows:
         v = float(r["rel_error"])
         assert repr(v) == r["rel_error"]
 
 
-def test_env_seed_override(capsys, tmp_path, monkeypatch):
-    path = trial_config(tmp_path, seed=9)
-    monkeypatch.setenv("PTLAB_SEED", "1234")
-    run_cli(capsys, "trials", "--config", str(path), "-o", str(tmp_path / "a"), "--jobs", "1")
-    man = json.loads((tmp_path / "a" / "manifest.json").read_text())
-    assert man["master_seed"] == 1234
+def test_config_key_errors_exit_2(capsys, tmp_path):
+    cfg = json.loads(trial_config(tmp_path).read_text())
+    del cfg["master_seed"]
+    path = tmp_path / "bad.json"
+    for command, bad, key in (
+            ("trials", cfg, "master_seed"),
+            ("trials", dict(cfg, master_seed=9, matrix_polcy="fixed"),
+             "matrix_polcy"),
+            ("grid", dict(cfg, master_seed=9, ell_value=[0, 1]),
+             "ell_value")):
+        path.write_text(json.dumps(bad))
+        code, _, err = run_cli(capsys, command, "--config", str(path),
+                               "-o", str(tmp_path / "out"), "--jobs", "1")
+        assert code == 2
+        assert key in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_jobs_below_one_is_usage_error(capsys, tmp_path):
+    path = trial_config(tmp_path)
+    for jobs in ("0", "-3"):
+        for command in ("trials", "grid"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(path),
+                      "-o", str(tmp_path / "out"), "--jobs", jobs])
+            assert exc.value.code == 2
+            assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert cli.build_parser().parse_args(
+        ["trials", "--config", "c", "-o", "o"]).jobs == (os.cpu_count() or 1)
 
 
 def test_grid_then_fit_round_trip(capsys, tmp_path):
@@ -110,13 +135,13 @@ def test_grid_then_fit_round_trip(capsys, tmp_path):
                          "-o", str(tmp_path / "g"), "--jobs", "1")
     assert code == 0
     table_path = tmp_path / "g" / "success_table.csv"
-    rows = list(csv.DictReader(open(table_path)))
+    rows = list(csv.DictReader(io.StringIO(table_path.read_text())))
     assert len(rows) == 6
     fit_out = tmp_path / "fit.csv"
     code, _, _ = run_cli(capsys, "fit", "--input", str(table_path),
                          "--link", "cll", "-o", str(fit_out))
     assert code == 0
-    fit_rows = list(csv.DictReader(open(fit_out)))
+    fit_rows = list(csv.DictReader(io.StringIO(fit_out.read_text())))
     assert len(fit_rows) == 1
     assert 0.0 < float(fit_rows[0]["eps_star"]) < 1.0
 
@@ -224,7 +249,8 @@ def test_interrupted_fit_leaves_no_partial_output(capsys, tmp_path,
     code, _, _ = run_cli(capsys, "fit", "--input", "table.csv",
                          "-o", "fit.csv")
     assert code == 0
-    assert len(list(csv.DictReader(open("fit.csv")))) == 1
+    with open("fit.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 1
 
 
 def test_test_subcommand_json(capsys):

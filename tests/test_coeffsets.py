@@ -28,9 +28,9 @@ def test_parse_aliases():
 
 
 def test_norm_examples():
-    assert norm_l1x(sv([0.0, 0.0, 0.0], CoeffSet.REAL), None) == 0.0
-    assert norm_l1x(sv([1.0, -2.0, 0.5], CoeffSet.REAL), None) == 3.5
-    assert norm_l1x(sv([3.0, 4.0], CoeffSet.COMPLEX), None) == 5.0
+    assert norm_l1x(np.array([0.0, 0.0, 0.0]), CoeffSet.REAL) == 0.0
+    assert norm_l1x(np.array([1.0, -2.0, 0.5]), CoeffSet.REAL) == 3.5
+    assert norm_l1x(np.array([3.0, 4.0]), CoeffSet.COMPLEX) == 5.0
 
 
 def test_norm_homogeneous_and_triangle():

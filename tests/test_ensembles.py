@@ -6,10 +6,10 @@ from ptlab.coeffsets import CoeffSet, count_free
 from ptlab.ensembles import (DFT_SIGN, MeasurementOperator, ProblemSizes,
                              aniso_sampler_2d, dbuse, general_position_rows,
                              iso_sampler_2d, make_block_diagonal,
-                             min_column_minor, operator_from_descriptor,
-                             partial_dft_block, partial_real_dft_block,
-                             rb_real_dft, rbpft, rbuse, real_dft_matrix,
-                             real_rep_matrix, sample_signal, sample_use)
+                             min_column_minor, partial_dft_block,
+                             partial_real_dft_block, rb_real_dft, rbpft,
+                             rbuse, real_dft_matrix, real_rep_matrix,
+                             sample_signal, sample_use)
 from ptlab.seeds import stream
 
 
@@ -301,35 +301,6 @@ def test_real_rep_matrix_conventions():
     assert np.array_equal(r2, np.array([[1.0, -2.0], [2.0, 1.0]]))
     r1 = real_rep_matrix(A, 1)
     assert np.array_equal(r1, np.array([[1.0], [2.0]]))
-
-
-def test_descriptor_round_trip():
-    for op in (rbuse(3, 6, 4, "real", seed=11),
-               dbuse(2, 5, 3, "complex", seed=12),
-               rbpft(7, [0, 2, 3], 5),
-               rb_real_dft(9, [0, 1, 4, 6], 3),
-               aniso_sampler_2d(5, [1, 3]),
-               iso_sampler_2d(5, 11, seed=4)):
-        clone = operator_from_descriptor(op.to_json())
-        cs = CoeffSet.COMPLEX if op.is_complex else CoeffSet.REAL
-        assert np.array_equal(clone.dense_real(cs), op.dense_real(cs))
-    blk = sample_use(2, 3, "real", seed=0)
-    anon = make_block_diagonal([blk], 2, repeated=True)
-    with pytest.raises(ValueError):
-        anon.to_descriptor()
-
-
-def test_descriptor_only_for_int_seed():
-    rng = np.random.default_rng
-    for build in (lambda seed: rbuse(3, 6, 2, "real", seed),
-                  lambda seed: dbuse(2, 5, 3, "complex", seed),
-                  lambda seed: iso_sampler_2d(5, 11, seed)):
-        for seed in (rng(0), None):
-            with pytest.raises(ValueError, match="provenance"):
-                build(seed).to_descriptor()
-        op = build(np.int64(7))
-        clone = operator_from_descriptor(op.to_json())
-        assert np.array_equal(clone.blocks, op.blocks)
 
 
 def test_sample_signal_zero_sparsity():

@@ -205,3 +205,20 @@ def test_config_validation():
         tiny_config(ensemble="wishart")
     with pytest.raises(ValueError):
         tiny_config(matrix_policy="sticky")
+
+
+def test_config_keys_checked():
+    d = tiny_config().to_dict()
+    assert set(d) <= set(experiments.CONFIG_REQUIRED
+                         + experiments.CONFIG_OPTIONAL)
+    assert ExperimentConfig.from_dict(dict(d, ell_values=[0, 1])) == \
+        tiny_config()
+    with pytest.raises(ValueError,
+                       match=r"missing \['ell', 'S'\], unknown \[\]"):
+        ExperimentConfig.from_dict({k: v for k, v in d.items()
+                                    if k not in ("ell", "S")})
+    with pytest.raises(ValueError, match=r"missing \['M'\], "
+                                         r"unknown \['matrix_polcy', 'mm'\]"):
+        bad = dict(d, matrix_polcy="fixed", mm=4)
+        del bad["M"]
+        ExperimentConfig.from_dict(bad)

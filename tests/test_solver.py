@@ -299,9 +299,7 @@ def test_kernel_matches_reference_loop():
     for op, y, cs in cases:
         stack = op.real_block_stack(cs)
         z, status, iters = reference_admm(stack, y.reshape(stack.shape[:2]), cs)
-        # single blocks go in as dense matrices, the path for raw input
-        A = op.dense_real(cs) if op.num_blocks == 1 else op
-        res = solve_p1(A, y, cs)
+        res = solve_p1(op, y, cs)
         assert (res.iterations, res.status) == (iters, status)
         assert status is not SolveStatus.MAX_ITERS   # no polish in the way
         assert np.linalg.norm(res.x1.values - z.reshape(-1)) <= \

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from ptlab.coeffsets import CoeffSet
-from ptlab.ensembles import (ProblemSizes, aniso_sampler_2d, iso_sampler_2d,
-                             partial_dft_block, rbuse, sample_signal)
+from ptlab.ensembles import (MeasurementOperator, ProblemSizes,
+                             aniso_sampler_2d, iso_sampler_2d,
+                             make_block_diagonal, partial_dft_block, rbpft,
+                             rbuse, sample_signal)
 from ptlab.solver import solve_p1
 from ptlab.verify import (EquivalenceOutcome, check_equivalence,
                           check_gram_structure, check_isometry_factorization,
@@ -33,6 +35,13 @@ def test_gram_rejects_non_fourier():
         check_gram_structure(rbuse(2, 4, 4, "real", seed=0))
     with pytest.raises(ValueError):
         check_gram_structure(iso_sampler_2d(4, 7, seed=0))
+    with pytest.raises(ValueError):
+        check_gram_structure(rbpft(4, [0, 2], 4))
+    # an int sample_set that does not match the block's (M*|K1|, M^2) shape
+    aniso = aniso_sampler_2d(4, [0, 2])
+    with pytest.raises(ValueError):
+        check_gram_structure(MeasurementOperator(blocks=aniso.blocks,
+                                                 sample_set=[0, 1, 2]))
 
 
 def test_eigvec_residuals_8():
@@ -50,6 +59,10 @@ def test_aniso_dense_matches_entrywise_definition():
                       - dense_aniso_entrywise(M, K1)).max() < 1e-13
 
 
+def one_block(A):
+    return make_block_diagonal([A], 1, repeated=True)
+
+
 def test_reduce_full_rank_keeps_value():
     rng = stream(0, "reduce")
     G = rng.standard_normal((6, 6))
@@ -58,8 +71,8 @@ def test_reduce_full_rank_keeps_value():
     b = G @ x0
     red = reduce_rank_deficient(G, b)
     assert red.rank == 6 and not red.ambiguous
-    v_orig = solve_p1(G, b, CoeffSet.REAL).value
-    v_red = solve_p1(red.A, red.y, CoeffSet.REAL).value
+    v_orig = solve_p1(one_block(G), b, CoeffSet.REAL).value
+    v_red = solve_p1(one_block(red.A), red.y, CoeffSet.REAL).value
     assert abs(v_orig - v_red) < 1e-8 * (1 + v_orig)
 
 
@@ -73,8 +86,8 @@ def test_reduce_duplicated_rows():
     red = reduce_rank_deficient(G, b)
     assert red.rank == 3
     assert red.A.shape == (3, 6)
-    v_orig = solve_p1(base, base @ x0, CoeffSet.REAL).value
-    v_red = solve_p1(red.A, red.y, CoeffSet.REAL).value
+    v_orig = solve_p1(one_block(base), base @ x0, CoeffSet.REAL).value
+    v_red = solve_p1(one_block(red.A), red.y, CoeffSet.REAL).value
     assert abs(v_orig - v_red) < 1e-8
 
 
@@ -82,7 +95,7 @@ def test_reduce_zero_matrix():
     red = reduce_rank_deficient(np.zeros((4, 5)), np.zeros(4))
     assert red.rank == 0 and red.A.shape == (0, 5)
     # unconstrained: the optimum is the norm minimizer over the set
-    res = solve_p1(np.zeros((1, 5)), np.zeros(1), CoeffSet.REAL)
+    res = solve_p1(one_block(np.zeros((1, 5))), np.zeros(1), CoeffSet.REAL)
     assert res.value == pytest.approx(0.0, abs=1e-12)
 
 
