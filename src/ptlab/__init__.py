@@ -28,7 +28,7 @@ from .predict import (OffsetPrediction, asymptotic_pt, eta_shape,
                       gamma_factor, general_d_offset, mri_offset, predict_pt,
                       predict_pt_delta, zeta_shape)
 from .solver import (SolveResult, SolveStatus, SolverOptions, declare_success,
-                     relative_error, solve_p1)
+                     relative_error, solve_batch, solve_p1)
 from .verify import (EquivalenceReport, GramReport, check_equivalence,
                      check_gram_structure, check_isometry_factorization,
                      reduce_rank_deficient, run_verification_suite)

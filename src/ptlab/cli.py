@@ -115,6 +115,9 @@ TRIAL_COLUMNS = ["trial", "ell", "m", "M", "B", "ensemble", "coeffset",
 
 def cmd_trials(args):
     config, raw = _load_config(args)
+    if "ell_values" in raw:
+        raise ValueError("ell_values is a grid key; a trials config runs "
+                         "the one cell at ell")
     records = run_trials(config)
     with _atomic_artifact(args.outdir, "trials.csv") as fh:
         w = csv.writer(fh, lineterminator="\n")

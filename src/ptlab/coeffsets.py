@@ -90,28 +90,41 @@ def norm_l1x(values, coeff_set):
     return float(np.abs(values).sum())
 
 
-def prox_step(values, t, coeff_set):
+def prox_step(values, t, coeff_set, out=None):
     """argmin_z  t*||z||_{1,X} + 0.5*||z - values||^2  with z in the set.
 
     Soft threshold for REAL, one-sided soft threshold for NONNEG, block soft
     threshold on pairs for COMPLEX; for BOX01 the linear-cost minimizer
     clipped to [0,1].  Works on arrays of any shape whose last axis is the
-    coefficient axis.
+    coefficient axis; t is a step size or an array of them that broadcasts
+    against values (one per problem of a batch), and out, if given, receives
+    the result.
     """
-    if t <= 0:
+    if np.less_equal(t, 0.0).any():
         raise ValueError("prox step size must be positive")
-    v = np.asarray(values, dtype=float)
+    return _prox(np.asarray(values, dtype=float), t, coeff_set, out)
+
+
+def _prox(v, t, coeff_set, out=None):
+    """prox_step for a float array v and steps t known to be positive."""
     if coeff_set is CoeffSet.REAL:
-        return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        return np.multiply(np.sign(v), np.maximum(np.abs(v) - t, 0.0),
+                           out=out)
     if coeff_set is CoeffSet.NONNEG:
-        return np.maximum(v - t, 0.0)
+        return np.maximum(v - t, 0.0, out=out)
     if coeff_set is CoeffSet.BOX01:
-        return np.minimum(np.maximum(v - t, 0.0), 1.0)
-    pairs = v.reshape(v.shape[:-1] + (v.shape[-1] // 2, 2))
-    re, im = pairs[..., 0], pairs[..., 1]
-    with np.errstate(divide="ignore"):
-        scale = np.maximum(1.0 - t / np.sqrt(re * re + im * im), 0.0)
-    return (pairs * scale[..., None]).reshape(v.shape)
+        return np.minimum(np.maximum(v - t, 0.0), 1.0, out=out)
+    # scale each pair by 1 - t/max(|pair|, t), which is 0 for |pair| <= t,
+    # worked out once per pair and written back to both of its entries
+    sq = v * v
+    scale = sq[..., 0::2] + sq[..., 1::2]
+    np.sqrt(scale, out=scale)
+    np.maximum(scale, t, out=scale)
+    np.divide(t, scale, out=scale)
+    np.subtract(1.0, scale, out=scale)
+    sq[..., 0::2] = scale
+    sq[..., 1::2] = scale
+    return np.multiply(v, sq, out=out)
 
 
 def count_free(x):

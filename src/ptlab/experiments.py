@@ -2,15 +2,16 @@
 
 A campaign is a pure function of its config and master seed: trial t draws
 its matrix from stream (master, "matrix", t) (or a shared fixed matrix from
-index 0) and its signal from (master, "signal", t), so results are identical
-regardless of worker count or execution order.
+index 0) and its signal from (master, "signal", t).  Trials are solved in
+chunks of consecutive trials of one cell, one batched solver call per chunk,
+and a trial's iterates do not depend on the chunk it shares; so results are
+identical regardless of worker count, chunking or execution order.
 """
 
 import csv
 import functools
 import io
 import itertools
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -23,10 +24,19 @@ from .ensembles import ProblemSizes
 from .seeds import stream
 # SUCCESS_THRESHOLD is unused here but stays importable: perfbench reads it
 from .solver import (DEFAULT_OPTIONS, SUCCESS_THRESHOLD, declare_success,
-                     relative_error, solve_p1)
+                     relative_error, solve_batch, state_bytes)
 
 MULTIBLOCK_N_LIMIT = 4096
 SINGLE_BLOCK_M_LIMIT = 1024
+# A kernel call's state (projectors and iterates, solver.state_bytes) stays
+# under this.  Every iteration sweeps all of it, and once it outgrows the
+# cache the time per problem-iteration rises again: at the criterion-7
+# shape (166 kB a trial) 26 us at 25 trials, 31 us at 200, on a 2-core
+# host.  Within the bound a chunk still shares NumPy's per-call cost among
+# dozens of trials at that shape and hundreds at the small ones, and no
+# chunk holds more memory than one trial needs (one distinct-block trial
+# at the multiblock guard needs ~130 MB).
+CHUNK_STATE_BYTES = 4 * 2 ** 20
 
 CSV_COLUMNS = ["ell", "m", "M", "B", "S", "successes", "pi_hat",
                "ensemble", "coeffset", "seed"]
@@ -112,6 +122,12 @@ class ExperimentConfig:
 
 @dataclass
 class TrialRecord:
+    """One trial's outcome.  wall_time is the trial's own solver set-up and
+    polish time plus its share of the batched kernel call it ran in: the
+    time between compaction events, divided among the problems active
+    then.  A chunk's wall times therefore sum to its solve time, and a trial
+    that runs on after the others stop is charged for those iterations
+    alone."""
     sizes: ProblemSizes
     ensemble_id: str
     coeff_set: CoeffSet
@@ -188,25 +204,29 @@ def _fixed_matrix(config):
     return _build_matrix(config, stream(config.master_seed, "matrix", 0))
 
 
-def run_one_trial(config, t):
-    """One seeded solve; pure function of (config, t)."""
-    if config.matrix_policy == "fixed":
-        op = _fixed_matrix(config)
-    else:
-        op = _build_matrix(config, stream(config.master_seed, "matrix", t))
-    x0 = ensembles.sample_signal(config.sizes, config.coeff_set,
-                                 stream(config.master_seed, "signal", t))
-    y = op.apply(x0.values, config.coeff_set)
-    t0 = time.perf_counter()
-    res = solve_p1(op, y, config.coeff_set)
-    wall = time.perf_counter() - t0
-    return TrialRecord(sizes=config.sizes, ensemble_id=config.ensemble,
-                       coeff_set=config.coeff_set,
-                       master_seed=config.master_seed, trial_index=t,
-                       rel_error=relative_error(x0.values, res.x1.values),
-                       success=declare_success(x0.values, res.x1.values),
-                       solver_status=res.status.value,
-                       iterations=res.iterations, wall_time=wall)
+def run_chunk(config, start, stop):
+    """Trials start..stop-1 of one cell, solved in one batched kernel call;
+    each record is a pure function of (config, t)."""
+    ops, x0s, ys = [], [], []
+    for t in range(start, stop):
+        if config.matrix_policy == "fixed":
+            op = _fixed_matrix(config)
+        else:
+            op = _build_matrix(config, stream(config.master_seed, "matrix", t))
+        x0 = ensembles.sample_signal(config.sizes, config.coeff_set,
+                                     stream(config.master_seed, "signal", t))
+        ops.append(op)
+        x0s.append(x0)
+        ys.append(op.apply(x0.values, config.coeff_set))
+    results = solve_batch(ops, ys, config.coeff_set)
+    return [TrialRecord(sizes=config.sizes, ensemble_id=config.ensemble,
+                        coeff_set=config.coeff_set,
+                        master_seed=config.master_seed, trial_index=t,
+                        rel_error=relative_error(x0.values, res.x1.values),
+                        success=declare_success(x0.values, res.x1.values),
+                        solver_status=res.status.value,
+                        iterations=res.iterations, wall_time=res.wall_time)
+            for t, x0, res in zip(range(start, stop), x0s, results)]
 
 
 def _guard(config):
@@ -218,24 +238,40 @@ def _guard(config):
                          f"exceeds {SINGLE_BLOCK_M_LIMIT}")
 
 
-def _run_cells(cells, jobs):
-    """Every (cell, trial) of `cells` as one work list over one process pool.
+def _chunks(cell, jobs):
+    """(start, stop) of each kernel call for the cell's trials: `jobs` runs
+    of consecutive trials, each split again to keep its kernel state under
+    CHUNK_STATE_BYTES."""
+    c = cell.coeff_set.ambient_dim * cell.M
+    # dbuse draws a block per diagonal position; the others repeat one
+    shared = cell.ensemble != "dbuse" or cell.B == 1
+    size = max(1, CHUNK_STATE_BYTES // state_bytes(cell.B, c, shared))
+    bounds = []
+    for j in range(jobs):
+        lo, hi = cell.S * j // jobs, cell.S * (j + 1) // jobs
+        bounds += [(a, min(a + size, hi)) for a in range(lo, hi, size)]
+    return bounds
 
-    The pool deals out one trial at a time, so a trial that runs to the
-    iteration cap occupies one worker while the others take up the trials
-    that follow it, whatever their cell.  Returns one record list per cell,
-    in trial order.
+
+def _run_cells(cells, jobs):
+    """Every chunk of every cell (see _chunks) as one work list over one
+    process pool.
+
+    The pool deals out one chunk at a time, so a chunk held up by a trial
+    that runs to the iteration cap occupies one worker while the others
+    take up the chunks that follow it, whatever their cell.  Returns one
+    record list per cell, in trial order.
     """
     for cell in cells:
         _guard(cell)
-    configs = [cell for cell in cells for _ in range(cell.S)]
-    indices = [t for cell in cells for t in range(cell.S)]
-    if jobs > 1 and len(indices) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(indices))) as pool:
-            records = list(pool.map(run_one_trial, configs, indices))
+    work = [(cell, a, b) for cell in cells for a, b in _chunks(cell, jobs)]
+    configs, starts, stops = zip(*work) if work else ((), (), ())
+    if jobs > 1 and len(work) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
+            chunks = list(pool.map(run_chunk, configs, starts, stops))
     else:
-        records = list(map(run_one_trial, configs, indices))
-    records = iter(records)
+        chunks = list(map(run_chunk, configs, starts, stops))
+    records = itertools.chain.from_iterable(chunks)
     return [list(itertools.islice(records, cell.S)) for cell in cells]
 
 

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
-complete.  The suite takes about three and a half minutes on a 2-core host,
-almost all of it in the Monte-Carlo criteria 7, 2 and 1; pytest's
+complete.  The suite takes about two minutes on a 2-core host, almost all
+of it in the Monte-Carlo criteria 7, 2 and 1; pytest's
 `--durations=5` report (on by default, see pyproject.toml) names them.
 """
 

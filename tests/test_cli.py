@@ -102,7 +102,9 @@ def test_config_key_errors_exit_2(capsys, tmp_path):
             ("trials", dict(cfg, master_seed=9, matrix_polcy="fixed"),
              "matrix_polcy"),
             ("grid", dict(cfg, master_seed=9, ell_value=[0, 1]),
-             "ell_value")):
+             "ell_value"),
+            ("trials", dict(cfg, master_seed=9, ell_values=[0, 1, 2]),
+             "ell_values")):
         path.write_text(json.dumps(bad))
         code, _, err = run_cli(capsys, command, "--config", str(path),
                                "-o", str(tmp_path / "out"), "--jobs", "1")
@@ -156,13 +158,28 @@ def grid_config(tmp_path):
 
 
 def test_grid_table_independent_of_jobs(capsys, tmp_path):
+    # 3 workers split each cell's 10 trials into chunks of 3, 3 and 4
     path = grid_config(tmp_path)
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3"):
         code, _, _ = run_cli(capsys, "grid", "--config", str(path),
                              "-o", str(tmp_path / f"j{jobs}"), "--jobs", jobs)
         assert code == 0
-    assert (tmp_path / "j1" / "success_table.csv").read_bytes() == \
-        (tmp_path / "j2" / "success_table.csv").read_bytes()
+    table = (tmp_path / "j1" / "success_table.csv").read_bytes()
+    for jobs in ("2", "3"):
+        assert (tmp_path / f"j{jobs}" / "success_table.csv").read_bytes() \
+            == table
+
+
+def test_trials_csv_independent_of_jobs(capsys, tmp_path):
+    # 7 trials over 3 workers: chunks of 2, 2 and 3 trials
+    path = trial_config(tmp_path)
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), S=7)))
+    for jobs in ("1", "3"):
+        code, _, _ = run_cli(capsys, "trials", "--config", str(path),
+                             "-o", str(tmp_path / f"j{jobs}"), "--jobs", jobs)
+        assert code == 0
+    assert (tmp_path / "j1" / "trials.csv").read_bytes() == \
+        (tmp_path / "j3" / "trials.csv").read_bytes()
 
 
 def test_grid_manifest_reproduces_table(capsys, tmp_path):

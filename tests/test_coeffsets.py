@@ -98,6 +98,43 @@ def test_prox_real_is_odd():
     assert np.array_equal(out_neg, -out_pos)
 
 
+def reference_complex_prox(values, t):
+    """The pair soft threshold as first written, dividing by |pair| under
+    np.errstate; prox_step must reproduce it bit for bit."""
+    v = np.asarray(values, dtype=float)
+    pairs = v.reshape(v.shape[:-1] + (v.shape[-1] // 2, 2))
+    re, im = pairs[..., 0], pairs[..., 1]
+    with np.errstate(divide="ignore"):
+        scale = np.maximum(1.0 - t / np.sqrt(re * re + im * im), 0.0)
+    return (pairs * scale[..., None]).reshape(v.shape)
+
+
+def test_prox_complex_bit_equal_to_reference():
+    # zero pairs (both zero signs), tiny pairs and |pair| == t exactly, with
+    # one step per problem of a (K, B, c) batch and an out= buffer
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        K, B, half = (int(k) for k in rng.integers(1, 5, size=3))
+        v = rng.standard_normal((K, B, 2 * half)) * 10.0 ** rng.integers(-6, 3)
+        t = np.exp(rng.standard_normal((K, 1, 1)))
+        pairs = v.reshape(K, B, half, 2)
+        pairs[rng.random((K, B, half)) < 0.2] = 0.0
+        pairs[..., 0][rng.random((K, B, half)) < 0.1] = -0.0
+        pairs[rng.random((K, B, half)) < 0.1] *= 1e-300
+        at_t = rng.random((K, B, half)) < 0.1
+        pairs[at_t] = 0.0
+        pairs[..., 0][at_t] = np.broadcast_to(t, (K, B, half))[at_t]
+        want = np.concatenate([reference_complex_prox(v[k], t[k, 0, 0])[None]
+                               for k in range(K)])
+        out = np.empty_like(v)
+        got = prox_step(v, t, CoeffSet.COMPLEX, out=out)
+        assert got is out
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    with pytest.raises(ValueError):
+        prox_step(np.ones((2, 1, 2)), np.array([[[0.5]], [[0.0]]]),
+                  CoeffSet.COMPLEX)
+
+
 def test_count_free_examples():
     x = sv([0.0, 1.0, 0.5, 1.0], CoeffSet.BOX01)
     assert count_free(x).tolist() == [1]

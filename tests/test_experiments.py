@@ -1,4 +1,5 @@
 import io
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -105,12 +106,13 @@ def test_grid_monotone_within_noise():
 
 
 def test_grid_same_rows_across_workers():
-    config = tiny_config(S=12, coeff_set=CoeffSet.REAL, M=8, m=4, B=2,
+    config = tiny_config(S=10, coeff_set=CoeffSet.REAL, M=8, m=4, B=2,
                          master_seed=21)
     serial = run_phase_grid(config, ell_values=[0, 1, 2, 3, 4])
-    parallel = run_phase_grid(replace(config, jobs=2),
-                              ell_values=[0, 1, 2, 3, 4])
-    assert parallel.rows == serial.rows
+    for jobs in (2, 3):   # 3 workers split each cell into 3, 3 and 4
+        parallel = run_phase_grid(replace(config, jobs=jobs),
+                                  ell_values=[0, 1, 2, 3, 4])
+        assert parallel.rows == serial.rows
 
 
 def test_grid_runs_one_pool_per_campaign(monkeypatch):
@@ -139,6 +141,16 @@ def test_grid_runs_one_pool_per_campaign(monkeypatch):
         assert [r.trial_index for r in records] == list(range(6))
         assert [r.rel_error for r in records] == \
             [r.rel_error for r in serial]
+
+
+def test_chunk_wall_times_share_the_solve_time():
+    config = tiny_config(S=12, coeff_set=CoeffSet.REAL, M=8, m=4, B=2)
+    t0 = time.perf_counter()
+    records = experiments.run_chunk(config, 0, 12)
+    elapsed = time.perf_counter() - t0
+    assert [r.trial_index for r in records] == list(range(12))
+    assert all(r.wall_time > 0.0 for r in records)
+    assert sum(r.wall_time for r in records) <= elapsed
 
 
 def test_single_block_campaign_certain_cases():

@@ -8,7 +8,7 @@ from ptlab.ensembles import (ProblemSizes, dbuse, make_block_diagonal,
 from ptlab.oracle import RESIDUAL_CERT, lp_oracle, socp_min_l1x
 from ptlab.seeds import stream
 from ptlab.solver import (DEFAULT_OPTIONS, SolveStatus, declare_success,
-                          relative_error, solve_p1)
+                          relative_error, solve_batch, solve_p1)
 
 ALL_SETS = (CoeffSet.BOX01, CoeffSet.NONNEG, CoeffSet.REAL, CoeffSet.COMPLEX)
 
@@ -307,3 +307,95 @@ def test_kernel_matches_reference_loop():
         statuses.append(status)
     assert statuses[0] is SolveStatus.INFEASIBLE
     assert statuses[1:] == [SolveStatus.CONVERGED] * (len(cases) - 1)
+
+
+def reference_one_problem(stack, y_blocks, shared, cs, opts=DEFAULT_OPTIONS):
+    """The one-problem projector kernel that admm_l1x batches, with each
+    norm its own dot: (z, status, s_norm, iterations)."""
+    def norm(a):
+        d = a.ravel()
+        return np.sqrt(d.dot(d))
+
+    B, _, c = stack.shape
+    if shared:
+        pinv = np.linalg.pinv(stack[0])
+        P = np.eye(c) - pinv @ stack[0]
+        q = y_blocks @ pinv.T
+    else:
+        pinv = np.linalg.pinv(stack)
+        P = np.eye(c) - pinv @ stack
+        q = np.matmul(pinv, y_blocks[:, :, None])[:, :, 0]
+    feas = norm(np.einsum("brc,bc->br", stack, q) - y_blocks)
+    if feas > opts.feas_tol * (1.0 + norm(y_blocks)):
+        return np.zeros((B, c)), SolveStatus.INFEASIBLE, 0.0, 0
+    z, u, rho, sq_dim = q, np.zeros_like(q), opts.rho, np.sqrt(B * c)
+    for it in range(1, opts.max_iters + 1):
+        v = z - u
+        x = v @ P.T + q if shared else np.matmul(P, v[:, :, None])[:, :, 0] + q
+        w = x + u
+        z_old, z = z, prox_step(w, 1.0 / rho, cs)
+        u = w - z
+        r_norm, s_norm = norm(x - z), rho * norm(z - z_old)
+        if r_norm <= opts.tol * (sq_dim + max(norm(x), norm(z))) and \
+                s_norm <= opts.tol * (sq_dim + rho * norm(u)):
+            return z, SolveStatus.CONVERGED, s_norm, it
+        if it <= opts.adapt_until and it % opts.adapt_every == 0:
+            if r_norm > 10.0 * s_norm:
+                rho, u = rho * 2.0, u / 2.0
+            elif s_norm > 10.0 * r_norm:
+                rho, u = rho / 2.0, u * 2.0
+    return z, SolveStatus.MAX_ITERS, s_norm, it
+
+
+def test_batch_composition_does_not_change_iterates():
+    # a problem's iterates, stop and residuals are its own: alone, in a
+    # batch, or in batches of other membership and order, bit for bit
+    rng = stream(9, "batch")
+    groups = []
+    for cs in ALL_SETS:
+        field_name = "complex" if cs.is_complex else "real"
+        for make in (lambda: rbuse(5, 8, 3, field_name, rng),
+                     lambda: dbuse(5, 8, 3, field_name, rng)):
+            problems = []
+            for ell in (1, 2, 3, 4, 1):
+                op = make()
+                x0 = sample_signal(ProblemSizes(ell, 5, 8, 3), cs, rng)
+                problems.append((op, op.apply(x0.values, cs)))
+            groups.append((cs, problems))
+    # a repeated block with two equal rows: no x meets y
+    A = sample_use(5, 8, "real", rng)
+    A[1] = A[0]
+    op = make_block_diagonal([A], 3, repeated=True)
+    y = op.apply(np.ones(24), CoeffSet.REAL) + np.eye(15)[1]
+    groups[4][1].insert(2, (op, y))
+
+    def same(a, b):
+        return (np.array_equal(a.x1.values.view(np.int64),
+                               b.x1.values.view(np.int64))
+                and (a.iterations, a.status) == (b.iterations, b.status)
+                and a.primal_residual == b.primal_residual
+                and a.dual_residual == b.dual_residual)
+
+    statuses = []
+    for cs, problems in groups:
+        alone = [solve_p1(op, y, cs) for op, y in problems]
+        for (op, y), res in zip(problems, alone):
+            stack = op.real_block_stack(cs)
+            z, status, s_norm, iters = reference_one_problem(
+                stack, y.reshape(stack.shape[:2]), op.shared, cs)
+            assert (res.iterations, res.status) == (iters, status)
+            assert np.array_equal(res.x1.values, z.reshape(-1))
+            assert res.dual_residual == s_norm
+            statuses.append(status)
+        n = len(problems)
+        for order in (range(n), range(n - 1, -1, -1), range(0, n, 2),
+                      range(1, n, 2), (3, 0), (n - 1,)):
+            order = list(order)
+            batch = solve_batch([problems[i][0] for i in order],
+                                [problems[i][1] for i in order], cs)
+            assert all(same(res, alone[i]) for i, res in zip(order, batch))
+    assert statuses.count(SolveStatus.INFEASIBLE) == 1
+    assert statuses.count(SolveStatus.CONVERGED) == len(statuses) - 1
+    with pytest.raises(ValueError, match="one block shape"):
+        solve_batch([groups[0][1][0][0], groups[1][1][0][0]],
+                    [groups[0][1][0][1], groups[1][1][0][1]], CoeffSet.BOX01)
