@@ -17,9 +17,8 @@ from .ensembles import (MeasurementOperator, ProblemSizes, aniso_sampler_2d,
 from .exactprob import (CriticalSparsity, binom_tail, continuum_ell0,
                         critical_ell, normal_approx, q_mb_exact, q_sb_exact,
                         tail_decay_check, uspensky_gap)
-from .experiments import (CampaignResult, ExperimentConfig, SuccessTable,
-                          TrialRecord, run_phase_grid, run_trials,
-                          single_block_campaign)
+from .experiments import (ExperimentConfig, SuccessTable, TrialRecord,
+                          run_phase_grid, run_trials)
 from .inference import (Link, QuantalFit, SeparationError, TestDecision,
                         TestOutcome, empirical_pt, fit_quantal,
                         hypothesis_test)

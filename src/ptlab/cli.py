@@ -15,11 +15,10 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__
 from .coeffsets import parse_coeffset
-from .exactprob import critical_ell, default_q_star, q_mb_exact, q_sb_exact
+from .exactprob import (Q_STAR_MULTI, critical_ell, default_q_star,
+                        q_mb_exact, q_sb_exact)
 from .experiments import ExperimentConfig, SuccessTable, run_trials, summarize, run_phase_grid
 from .inference import SeparationError, fit_quantal, hypothesis_test, parse_link
 from .predict import predict_pt_delta
@@ -100,12 +99,14 @@ def cmd_predict(args):
     with _output(args.output) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["delta", "eps_asy", "eps_bd_first", "eps_bd_second",
-                    "rel_offset", "gamma", "order", "extrapolated"])
+                    "rel_offset_first", "rel_offset_second", "gamma",
+                    "extrapolated"])
         for delta in args.delta:
-            p = predict_pt_delta(delta, args.M, args.B, cs, order=args.order)
+            p = predict_pt_delta(delta, args.M, args.B, cs)
             w.writerow([repr(delta), repr(p.eps_asy), repr(p.eps_bd_first),
-                        repr(p.eps_bd_second), repr(p.rel_offset),
-                        repr(p.gamma), p.order, p.extrapolated])
+                        repr(p.eps_bd_second), repr(p.rel_offset_first),
+                        repr(p.rel_offset_second), repr(p.gamma),
+                        p.extrapolated])
     return 0
 
 
@@ -213,7 +214,6 @@ def build_parser():
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--B", type=int, required=True)
     p.add_argument("--delta", type=float, nargs="+", required=True)
-    p.add_argument("--order", type=int, default=2, choices=(1, 2))
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_predict)
 
@@ -238,7 +238,7 @@ def build_parser():
     p.add_argument("--failures", type=int, default=None)
     p.add_argument("--S", type=int, required=True)
     p.add_argument("--B", type=int, required=True)
-    p.add_argument("--qstar", type=float, default=1.0 - 1.0 / np.e)
+    p.add_argument("--qstar", type=float, default=Q_STAR_MULTI)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_test)

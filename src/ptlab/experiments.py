@@ -10,7 +10,6 @@ identical regardless of worker count, chunking or execution order.
 
 import csv
 import functools
-import io
 import itertools
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -165,11 +164,6 @@ class SuccessTable:
             writer.writerow([r.ell, r.m, r.M, r.B, r.S, r.successes,
                              repr(r.pi_hat), r.ensemble, r.coeffset, r.seed])
 
-    def to_csv_string(self):
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
-
     @classmethod
     def from_csv(cls, fh):
         reader = csv.DictReader(fh)
@@ -291,8 +285,8 @@ def summarize(config, records):
 
 
 def default_window(m, M, B, coeff_set):
-    """ell sweep centered on the order-2 predicted transition."""
-    center = predict.predict_pt(m, M, B, coeff_set, order=2).eps_bd * M
+    """ell sweep centered on the second-order predicted transition."""
+    center = predict.predict_pt(m, M, B, coeff_set).eps_bd_second * M
     center = max(center, 0.0)
     w = max(3, round(0.8 * center))
     lo = max(0, int(np.floor(center)) - w)
@@ -313,22 +307,3 @@ def run_phase_grid(config, ell_values=None):
         cells.append(replace(config, ell=int(ell), master_seed=cell_seed))
     return SuccessTable(list(map(summarize, cells,
                                  _run_cells(cells, config.jobs))))
-
-
-@dataclass(frozen=True)
-class CampaignResult:
-    y_bar: float
-    failures: int
-    S: int
-
-
-def single_block_campaign(ell, m, M, S, seed, coeff_set=CoeffSet.BOX01,
-                          ensemble="dbuse", jobs=1):
-    """S single-block solves; returns the mean failure rate and raw count."""
-    config = ExperimentConfig(ensemble=ensemble, coeff_set=coeff_set,
-                              ell=ell, m=m, M=M, B=1, S=S, master_seed=seed,
-                              jobs=jobs)
-    records = run_trials(config)
-    failures = sum(1 - r.success for r in records)
-    return CampaignResult(y_bar=failures / S if S else 0.0,
-                          failures=failures, S=S)

@@ -31,17 +31,6 @@ BETA = {CoeffSet.BOX01: 0.5, CoeffSet.NONNEG: -1.0 / 3.0,
         CoeffSet.REAL: -0.5, CoeffSet.COMPLEX: -1.0 / 3.0}
 
 
-@dataclass(frozen=True)
-class PredictionConstants:
-    alpha: float
-    beta: float
-    coeff_set: CoeffSet
-
-
-def constants(coeff_set):
-    return PredictionConstants(ALPHA[coeff_set], BETA[coeff_set], coeff_set)
-
-
 def _phi(t):
     return math.exp(-0.5 * t * t) / SQRT_2PI
 
@@ -123,7 +112,6 @@ class OffsetPrediction:
     m: int
     M: int
     B: int
-    order: int
     eps_asy: float
     gamma: float
     eta: float
@@ -134,38 +122,27 @@ class OffsetPrediction:
     rel_offset_second: float
     extrapolated: bool  # the gamma ansatz is validated at B = M only
 
-    @property
-    def rel_offset(self):
-        return self.rel_offset_first if self.order == 1 else self.rel_offset_second
 
-    @property
-    def eps_bd(self):
-        return self.eps_bd_first if self.order == 1 else self.eps_bd_second
+def predict_pt(m, M, B, coeff_set):
+    """Finite-size transition prediction at delta = m/M, at both orders.
 
-
-def predict_pt(m, M, B, coeff_set, order=2):
-    """Finite-size transition prediction at delta = m/M.
-
-    Relative offset r = alpha*eta*gamma (+ beta*zeta*gamma^2 at order 2);
-    the predicted location is eps_asy * (1 - r).
+    Relative offset r = alpha*eta*gamma at first order, plus
+    beta*zeta*gamma^2 at second; the predicted location is eps_asy * (1 - r).
     """
-    return predict_pt_delta(m / M, M, B, coeff_set, order, m=m)
+    return predict_pt_delta(m / M, M, B, coeff_set, m=m)
 
 
-def predict_pt_delta(delta, M, B, coeff_set, order=2, m=None):
+def predict_pt_delta(delta, M, B, coeff_set, m=None):
     """predict_pt with the undersampling fraction given directly."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
     if m is None:
         m = int(round(delta * M))
-    cst = constants(coeff_set)
     eps_asy = asymptotic_pt(delta, coeff_set)
     gamma = gamma_factor(M, B)
     eta = eta_shape(delta, coeff_set)
     zeta = zeta_shape(delta, coeff_set)
-    r1 = cst.alpha * eta * gamma
-    r2 = r1 + cst.beta * zeta * gamma * gamma
-    return OffsetPrediction(coeff_set=coeff_set, m=m, M=M, B=B, order=order,
+    r1 = ALPHA[coeff_set] * eta * gamma
+    r2 = r1 + BETA[coeff_set] * zeta * gamma * gamma
+    return OffsetPrediction(coeff_set=coeff_set, m=m, M=M, B=B,
                             eps_asy=eps_asy, gamma=gamma, eta=eta, zeta=zeta,
                             eps_bd_first=eps_asy * (1.0 - r1),
                             eps_bd_second=eps_asy * (1.0 - r2),

@@ -31,13 +31,29 @@ def test_exactprob_table(capsys):
 def test_predict_complex_offset(capsys, tmp_path):
     out_file = tmp_path / "pred.csv"
     code, _, _ = run_cli(capsys, "predict", "--coeffset", "C", "--M", "192",
-                         "--B", "192", "--delta", "0.5", "--order", "2",
-                         "-o", str(out_file))
+                         "--B", "192", "--delta", "0.5", "-o", str(out_file))
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out_file.read_text())))
     assert len(rows) == 1
-    assert float(rows[0]["rel_offset"]) == pytest.approx(0.19482, abs=5e-6)
+    assert float(rows[0]["rel_offset_second"]) == \
+        pytest.approx(0.19482, abs=5e-6)
     assert rows[0]["extrapolated"] == "False"
+
+
+def test_predict_prints_both_orders(capsys):
+    code, out, _ = run_cli(capsys, "predict", "--coeffset", "box01",
+                           "--M", "48", "--B", "48", "--delta", "0.75")
+    assert code == 0
+    row, = csv.DictReader(io.StringIO(out))
+    assert "order" not in row and "rel_offset" not in row
+    eps_asy = float(row["eps_asy"])
+    for order in ("first", "second"):
+        assert float(row[f"eps_bd_{order}"]) == \
+            eps_asy * (1.0 - float(row[f"rel_offset_{order}"]))
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--coeffset", "C", "--M", "192", "--B", "192",
+              "--delta", "0.5", "--order", "2"])
+    assert exc.value.code == 2
 
 
 def test_missing_flag_is_usage_error(capsys):
@@ -252,7 +268,8 @@ def test_interrupted_fit_leaves_no_partial_output(capsys, tmp_path,
                                                    monkeypatch):
     rows = [SuccessRow(ell, 4, 8, 2, 40, s, s / 40, "dbuse", "real", 3)
             for ell, s in enumerate([40, 38, 30, 15, 5, 0])]
-    (tmp_path / "table.csv").write_text(SuccessTable(rows).to_csv_string())
+    with open(tmp_path / "table.csv", "w", newline="") as fh:
+        SuccessTable(rows).to_csv(fh)
     monkeypatch.chdir(tmp_path)   # "-o fit.csv" has no directory part
 
     def interrupted_fit(table, link):

@@ -9,7 +9,7 @@ from ptlab import experiments
 from ptlab.coeffsets import CoeffSet
 from ptlab.exactprob import q_sb_exact
 from ptlab.experiments import (ExperimentConfig, SuccessTable, run_phase_grid,
-                               run_trials, single_block_campaign, summarize)
+                               run_trials, summarize)
 from ptlab.solver import DEFAULT_OPTIONS
 
 
@@ -86,7 +86,7 @@ def test_multiblock_guard():
 
 def test_single_block_guard():
     with pytest.raises(ValueError, match="guard"):
-        single_block_campaign(2, 600, 2000, 1, seed=0)
+        run_trials(tiny_config(ell=2, m=600, M=2000, S=1, master_seed=0))
 
 
 def test_grid_zero_sparsity_cell_is_certain():
@@ -153,26 +153,35 @@ def test_chunk_wall_times_share_the_solve_time():
     assert sum(r.wall_time for r in records) <= elapsed
 
 
+def failure_rate(config):
+    records = run_trials(config)
+    return sum(not r.success for r in records) / config.S
+
+
 def test_single_block_campaign_certain_cases():
     # zero signal (no free entries in a zero-boundary set) always recovers
-    out = single_block_campaign(0, 3, 5, 10, seed=1, coeff_set=CoeffSet.REAL)
-    assert out.y_bar == 0.0
+    config = tiny_config(ell=0, m=3, M=5, S=10, master_seed=1,
+                         coeff_set=CoeffSet.REAL)
+    assert failure_rate(config) == 0.0
     # fully determined system always recovers, whatever the set
-    assert single_block_campaign(3, 5, 5, 10, seed=2).y_bar == 0.0
+    assert failure_rate(tiny_config(ell=3, m=5, M=5, S=10,
+                                    master_seed=2)) == 0.0
 
 
 def test_single_block_campaign_counts():
-    out = single_block_campaign(2, 3, 4, 400, seed=3, ensemble="rb_real_dft")
-    assert out.failures == round(out.y_bar * out.S)
+    config = tiny_config(ell=2, m=3, M=4, S=400, master_seed=3,
+                         ensemble="rb_real_dft")
     q = q_sb_exact(2, 3, 4)
     se = np.sqrt(q * (1 - q) / 400)
-    assert abs((1 - out.y_bar) - q) <= 3 * se
+    assert abs((1 - failure_rate(config)) - q) <= 3 * se
 
 
 def test_success_table_csv_round_trip():
     config = tiny_config(S=5)
     table = SuccessTable([summarize(config, run_trials(config))])
-    text = table.to_csv_string()
+    buf = io.StringIO()
+    table.to_csv(buf)
+    text = buf.getvalue()
     assert text.splitlines()[0] == \
         "ell,m,M,B,S,successes,pi_hat,ensemble,coeffset,seed"
     back = SuccessTable.from_csv(io.StringIO(text))

@@ -6,9 +6,10 @@ from scipy.integrate import quad
 
 from ptlab.coeffsets import CoeffSet
 from ptlab.exactprob import critical_ell, q_mb_exact
-from ptlab.predict import (asymptotic_pt, constants, eta_shape, gamma_factor,
-                           general_d_offset, mri_offset, predict_pt,
-                           predict_pt_delta, statdim_ratio, zeta_shape)
+from ptlab.predict import (ALPHA, BETA, asymptotic_pt, eta_shape,
+                           gamma_factor, general_d_offset, mri_offset,
+                           predict_pt, predict_pt_delta, statdim_ratio,
+                           zeta_shape)
 
 ALL_SETS = (CoeffSet.BOX01, CoeffSet.NONNEG, CoeffSet.REAL, CoeffSet.COMPLEX)
 
@@ -17,8 +18,7 @@ def test_table_constants():
     want = {CoeffSet.BOX01: (1.0, 0.5), CoeffSet.NONNEG: (1.0, -1 / 3),
             CoeffSet.REAL: (1.0, -0.5), CoeffSet.COMPLEX: (2 / 3, -1 / 3)}
     for cs, (a, b) in want.items():
-        c = constants(cs)
-        assert (c.alpha, c.beta) == (a, b)
+        assert (ALPHA[cs], BETA[cs]) == (a, b)
 
 
 # --- independent oracle: quadrature expectations + grid/refine minimization
@@ -128,24 +128,24 @@ def test_eta_zeta_shapes():
 
 
 def test_predict_complex_192_offset():
-    p = predict_pt(96, 192, 192, CoeffSet.COMPLEX, order=2)
+    p = predict_pt(96, 192, 192, CoeffSet.COMPLEX)
     gamma = gamma_factor(192, 192)
     want = math.sqrt(2.0) * (2 / 3 * gamma - 1 / 3 * gamma ** 2)
-    assert p.rel_offset == pytest.approx(want, rel=1e-12)
-    assert p.rel_offset == pytest.approx(0.19482, abs=5e-6)
+    assert p.rel_offset_second == pytest.approx(want, rel=1e-12)
+    assert p.rel_offset_second == pytest.approx(0.19482, abs=5e-6)
     assert not p.extrapolated
 
 
 def test_predict_limit_small_gamma():
-    p = predict_pt(3 * 10 ** 6 // 4, 10 ** 6, 2, CoeffSet.BOX01, order=2)
-    assert p.eps_bd == pytest.approx(p.eps_asy, rel=1e-2)
+    p = predict_pt(3 * 10 ** 6 // 4, 10 ** 6, 2, CoeffSet.BOX01)
+    assert p.eps_bd_second == pytest.approx(p.eps_asy, rel=1e-2)
     assert p.extrapolated
 
 
 def test_predict_box01_first_order_identity():
     # absolute first-order offset equals sqrt(2(1-delta)) * gamma
     for M in (48, 192):
-        p = predict_pt(3 * M // 4, M, M, CoeffSet.BOX01, order=1)
+        p = predict_pt(3 * M // 4, M, M, CoeffSet.BOX01)
         offset = p.eps_asy - p.eps_bd_first
         assert offset == pytest.approx(math.sqrt(2 * 0.25) * p.gamma, rel=1e-12)
 
@@ -165,18 +165,18 @@ def test_predict_tracks_exact_curve_at_192():
     M = 192
     for delta in (0.7, 0.75, 0.8, 0.9):
         m = round(delta * M)
-        p = predict_pt(m, M, M, CoeffSet.BOX01, order=2)
+        p = predict_pt(m, M, M, CoeffSet.BOX01)
         exact = critical_ell(m, M, M).eps_star
-        assert abs(p.eps_bd - exact) <= 0.02
+        assert abs(p.eps_bd_second - exact) <= 0.02
     # near delta = 0.6 the finite-size transition collapses to zero
     m = round(0.6 * M)
     assert q_mb_exact(0, m, M, M) < 1 - 1 / math.e
-    p = predict_pt(m, M, M, CoeffSet.BOX01, order=2)
-    assert abs(p.eps_bd - 0.0) <= 0.02
+    p = predict_pt(m, M, M, CoeffSet.BOX01)
+    assert abs(p.eps_bd_second - 0.0) <= 0.02
 
 
 def test_rel_offset_decreasing_in_M():
-    vals = [predict_pt(M // 2, M, M, CoeffSet.COMPLEX).rel_offset
+    vals = [predict_pt(M // 2, M, M, CoeffSet.COMPLEX).rel_offset_second
             for M in (48, 96, 192, 384)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -198,8 +198,8 @@ def test_general_d_offset():
 def test_mri_offsets():
     got = mri_offset(2, 0.5, 192)
     assert got == pytest.approx(0.19482, abs=5e-6)
-    p = predict_pt_delta(0.5, 192, 192, CoeffSet.COMPLEX, order=2)
-    assert got == pytest.approx(p.rel_offset, rel=1e-12)
+    p = predict_pt_delta(0.5, 192, 192, CoeffSet.COMPLEX)
+    assert got == pytest.approx(p.rel_offset_second, rel=1e-12)
     assert mri_offset(3, 0.5, 192) < mri_offset(2, 0.5, 192)
     with pytest.raises(ValueError):
         mri_offset(4, 0.5, 192)
