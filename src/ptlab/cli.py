@@ -20,7 +20,8 @@ from .coeffsets import parse_coeffset
 from .exactprob import (Q_STAR_MULTI, critical_ell, default_q_star,
                         q_mb_exact, q_sb_exact)
 from .experiments import ExperimentConfig, SuccessTable, run_trials, summarize, run_phase_grid
-from .inference import SeparationError, fit_quantal, hypothesis_test, parse_link
+from .inference import (SeparationError, empirical_pt, fit_quantal,
+                        hypothesis_test, parse_link)
 from .predict import predict_pt_delta
 from .verify import run_verification_suite
 
@@ -64,6 +65,8 @@ def _load_config(args):
     with open(args.config) as fh:
         raw = json.load(fh)
     config = replace(ExperimentConfig.from_dict(raw), jobs=args.jobs)
+    if config.S < 1:
+        raise ValueError(f"a campaign needs S >= 1 trials, got {config.S}")
     return config, raw
 
 
@@ -163,12 +166,13 @@ def cmd_fit(args):
         for (m, M, B), rows in sorted(groups.items()):
             try:
                 fit = fit_quantal(SuccessTable(rows), link)
+                eps_star = empirical_pt(fit)
             except (SeparationError, ValueError) as exc:
                 print(f"# fit failed at (m={m}, M={M}, B={B}): {exc}",
                       file=sys.stderr)
                 status = 1
                 continue
-            w.writerow([m, M, B, repr(m / M), repr(fit.eps_star),
+            w.writerow([m, M, B, repr(m / M), repr(eps_star),
                         repr(fit.se_eps_star)])
     return status
 

@@ -66,7 +66,15 @@ class ExperimentConfig:
             raise ValueError("matrix_policy must be 'fresh' or 'fixed'")
         if self.ensemble not in ("rbuse", "dbuse", "rbpft", "rb_real_dft"):
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
+        if self.S < 0:
+            raise ValueError(f"S must be at least 0, got {self.S}")
         if self.K is not None:
+            if self.ensemble not in ("rbpft", "rb_real_dft"):
+                raise ValueError(f"K picks the rows of a DFT ensemble; "
+                                 f"{self.ensemble!r} has no use for it")
+            if len(self.K) != self.m:
+                raise ValueError(f"K has {len(self.K)} entries, but "
+                                 f"m = {self.m}")
             object.__setattr__(self, "K", tuple(int(k) for k in self.K))
 
     @property
@@ -115,7 +123,7 @@ class ExperimentConfig:
                    B=int(d["B"]), S=int(d["S"]),
                    master_seed=int(d["master_seed"]),
                    matrix_policy=d.get("matrix_policy", "fresh"),
-                   K=tuple(d["K"]) if d.get("K") else None,
+                   K=d.get("K"),
                    jobs=int(d.get("jobs", 1)))
 
 
@@ -285,9 +293,13 @@ def summarize(config, records):
 
 
 def default_window(m, M, B, coeff_set):
-    """ell sweep centered on the second-order predicted transition."""
-    center = predict.predict_pt(m, M, B, coeff_set).eps_bd_second * M
-    center = max(center, 0.0)
+    """ell sweep centered on the second-order predicted transition; at B = 1
+    the offset's gamma = sqrt(2 log B / M) is 0, so on the asymptotic one."""
+    if B == 1:
+        eps = predict.asymptotic_pt(m / M, coeff_set)
+    else:
+        eps = predict.predict_pt(m, M, B, coeff_set).eps_bd_second
+    center = max(eps * M, 0.0)
     w = max(3, round(0.8 * center))
     lo = max(0, int(np.floor(center)) - w)
     hi = min(M, int(np.ceil(center)) + w)

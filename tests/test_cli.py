@@ -129,6 +129,42 @@ def test_config_key_errors_exit_2(capsys, tmp_path):
         assert not (tmp_path / "out").exists()
 
 
+def test_config_value_errors_exit_2(capsys, tmp_path):
+    cfg = json.loads(trial_config(tmp_path).read_text())   # dbuse, m=3
+    path = tmp_path / "bad.json"
+    for command, bad, message in (
+            ("trials", dict(cfg, S=0), "S >= 1"),
+            ("grid", dict(cfg, S=0), "S >= 1"),
+            ("grid", dict(cfg, S=-4), "S must be at least 0"),
+            ("trials", dict(cfg, ensemble="rbpft", m=5, K=[0, 1, 2]),
+             "K has 3 entries, but m = 5"),
+            ("trials", dict(cfg, ensemble="rbpft", K=[]),
+             "K has 0 entries, but m = 3"),
+            ("trials", dict(cfg, K=[0, 1, 2]), "'dbuse' has no use for it"),
+            ("grid", dict(cfg, ensemble="rbuse", K=[0, 1, 2]),
+             "'rbuse' has no use for it")):
+        path.write_text(json.dumps(bad))
+        code, _, err = run_cli(capsys, command, "--config", str(path),
+                               "-o", str(tmp_path / "out"), "--jobs", "1")
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_grid_default_window_at_one_block(capsys, tmp_path):
+    # no ell_values: the window centres on the asymptotic curve at B = 1
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"ensemble": "dbuse", "coeffset": "box01",
+                                "ell": 0, "m": 3, "M": 4, "B": 1, "S": 4,
+                                "master_seed": 5}))
+    code, _, _ = run_cli(capsys, "grid", "--config", str(path),
+                         "-o", str(tmp_path / "g"), "--jobs", "1")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(
+        (tmp_path / "g" / "success_table.csv").read_text())))
+    assert [int(r["ell"]) for r in rows] == [0, 1, 2, 3, 4]
+
+
 def test_jobs_below_one_is_usage_error(capsys, tmp_path):
     path = trial_config(tmp_path)
     for jobs in ("0", "-3"):
@@ -285,6 +321,23 @@ def test_interrupted_fit_leaves_no_partial_output(capsys, tmp_path,
     assert code == 0
     with open("fit.csv") as fh:
         assert len(list(csv.DictReader(fh))) == 1
+
+
+def test_fit_refuses_rising_success_rate(capsys, tmp_path):
+    # success rises with sparsity: the fit converges with slope b > 0, and
+    # -a/b is no transition, so the group is refused like a separation
+    rows = [SuccessRow(ell, 4, 8, 2, 40, s, s / 40, "dbuse", "real", 3)
+            for ell, s in enumerate([0, 5, 15, 30, 38, 40])]
+    table = tmp_path / "table.csv"
+    with open(table, "w", newline="") as fh:
+        SuccessTable(rows).to_csv(fh)
+    fit_out = tmp_path / "fit.csv"
+    code, _, err = run_cli(capsys, "fit", "--input", str(table),
+                           "-o", str(fit_out))
+    assert code == 1
+    assert "# fit failed at (m=4, M=8, B=2)" in err
+    assert "negative" in err
+    assert fit_out.read_text() == "m,M,B,delta,eps_star,se\n"
 
 
 def test_test_subcommand_json(capsys):

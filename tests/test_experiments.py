@@ -228,6 +228,27 @@ def test_config_validation():
         tiny_config(matrix_policy="sticky")
 
 
+def test_config_checks_S_and_K():
+    assert tiny_config(S=0).S == 0
+    with pytest.raises(ValueError, match="S must be at least 0"):
+        tiny_config(S=-4)
+    assert tiny_config(ensemble="rb_real_dft", K=[0, 1, 2]).K == (0, 1, 2)
+    with pytest.raises(ValueError, match="K has 3 entries, but m = 5"):
+        tiny_config(ensemble="rbpft", m=5, K=(0, 1, 2))
+    for ensemble in ("rbuse", "dbuse"):
+        with pytest.raises(ValueError, match="has no use for it"):
+            tiny_config(ensemble=ensemble, K=(0, 1, 2))
+
+
+def test_default_window():
+    # criterion 7's sweep: rbuse COMPLEX, m=12, M=24, B=24
+    assert experiments.default_window(12, 24, 24, CoeffSet.COMPLEX) == \
+        list(range(8))
+    # one block: centred on the asymptotic (2 delta - 1) M = 24, width 19
+    assert experiments.default_window(36, 48, 1, CoeffSet.BOX01) == \
+        list(range(5, 44))
+
+
 def test_config_keys_checked():
     d = tiny_config().to_dict()
     assert set(d) <= set(experiments.CONFIG_REQUIRED

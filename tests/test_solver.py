@@ -228,6 +228,20 @@ def test_barrier_oracle_stays_feasible_on_pinned_complex_instance():
     assert abs(res.value - oracle.value) < 1e-8
 
 
+def test_polish_closes_the_gap_of_a_capped_solve():
+    # BOX01 iteration 1 of criterion 9 runs to the iteration cap; its ADMM
+    # iterate is 6.5e-5 above the optimum, and the active-set polish brings
+    # it to 1.6e-14
+    op, x0, ell = criterion_9_instance(CoeffSet.BOX01, 1)
+    assert (op.block_shape, ell) == ((9, 21), 5)
+    y = op.apply(x0.values, CoeffSet.BOX01)
+    res = solve_p1(op, y, CoeffSet.BOX01)
+    assert res.status is SolveStatus.MAX_ITERS
+    assert res.iterations == DEFAULT_OPTIONS.max_iters
+    oracle = lp_oracle(op.dense_real(CoeffSet.BOX01), y, CoeffSet.BOX01)
+    assert abs(res.value - oracle.value) < 1e-6
+
+
 def test_multiblock_complex_recovery():
     rng = stream(7, "mb")
     op = dbuse(6, 8, 3, "complex", rng)
