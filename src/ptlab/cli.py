@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Every run that produces artifacts also writes a manifest (config, seed,
-package version, timestamp) next to them; re-running a manifest's config
-reproduces the result CSVs byte for byte.  Numeric CSV fields are written
-with repr(), which round-trips doubles exactly.
+worker count, package version, timestamp) next to them; re-running a
+manifest's config reproduces the result CSVs byte for byte, at any --jobs.
+Numeric CSV fields are written with repr(), which round-trips doubles
+exactly.
 """
 
 import argparse
@@ -13,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 from . import __version__
 from .coeffsets import parse_coeffset
@@ -54,9 +54,10 @@ def _output(path):
         yield fh
 
 
-def _write_manifest(outdir, command, payload, seed):
+def _write_manifest(outdir, command, payload, seed, jobs):
     manifest = {"command": command, "config": payload, "master_seed": seed,
-                "version": __version__, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
+                "jobs": jobs, "version": __version__,
+                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
     with _atomic_artifact(outdir, "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
@@ -64,7 +65,7 @@ def _write_manifest(outdir, command, payload, seed):
 def _load_config(args):
     with open(args.config) as fh:
         raw = json.load(fh)
-    config = replace(ExperimentConfig.from_dict(raw), jobs=args.jobs)
+    config = ExperimentConfig.from_dict(raw)
     if config.S < 1:
         raise ValueError(f"a campaign needs S >= 1 trials, got {config.S}")
     return config, raw
@@ -122,7 +123,7 @@ def cmd_trials(args):
     if "ell_values" in raw:
         raise ValueError("ell_values is a grid key; a trials config runs "
                          "the one cell at ell")
-    records = run_trials(config)
+    records = run_trials(config, jobs=args.jobs)
     with _atomic_artifact(args.outdir, "trials.csv") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(TRIAL_COLUMNS)
@@ -134,7 +135,8 @@ def cmd_trials(args):
     row = summarize(config, records)
     with _atomic_artifact(args.outdir, "success_table.csv") as fh:
         SuccessTable([row]).to_csv(fh)
-    _write_manifest(args.outdir, "trials", config.to_dict(), config.master_seed)
+    _write_manifest(args.outdir, "trials", config.to_dict(), config.master_seed,
+                    args.jobs)
     print(f"pi_hat = {row.pi_hat} ({row.successes}/{row.S})")
     return 0
 
@@ -142,12 +144,13 @@ def cmd_trials(args):
 def cmd_grid(args):
     config, raw = _load_config(args)
     ell_values = raw.get("ell_values")
-    table = run_phase_grid(config, ell_values)
+    table = run_phase_grid(config, ell_values, jobs=args.jobs)
     with _atomic_artifact(args.outdir, "success_table.csv") as fh:
         table.to_csv(fh)
     # the swept ells, in table order, so the manifest's config reproduces it
     payload = dict(config.to_dict(), ell_values=[r.ell for r in table.rows])
-    _write_manifest(args.outdir, "grid", payload, config.master_seed)
+    _write_manifest(args.outdir, "grid", payload, config.master_seed,
+                    args.jobs)
     print(f"{len(table.rows)} grid cells written to {args.outdir}")
     return 0
 
@@ -178,8 +181,6 @@ def cmd_fit(args):
 
 
 def cmd_test(args):
-    if args.ybar is None and args.failures is None:
-        raise ValueError("provide --ybar or --failures")
     y_bar = args.ybar if args.ybar is not None else args.failures / args.S
     decision = hypothesis_test(y_bar, args.S, args.B, args.qstar, args.alpha)
     payload = {"y_bar": decision.y_bar, "mu": decision.mu,
@@ -238,9 +239,10 @@ def build_parser():
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("test", help="large-size accept/reject hypothesis test")
-    p.add_argument("--ybar", type=float, default=None)
-    p.add_argument("--failures", type=int, default=None)
-    p.add_argument("--S", type=int, required=True)
+    fraction = p.add_mutually_exclusive_group(required=True)
+    fraction.add_argument("--ybar", type=float)
+    fraction.add_argument("--failures", type=int)
+    p.add_argument("--S", type=_positive_int, required=True)
     p.add_argument("--B", type=int, required=True)
     p.add_argument("--qstar", type=float, default=Q_STAR_MULTI)
     p.add_argument("--alpha", type=float, default=0.05)
@@ -248,7 +250,7 @@ def build_parser():
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("verify", help="structural verification suite")
-    p.add_argument("--instances", type=int, default=50)
+    p.add_argument("--instances", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_verify)

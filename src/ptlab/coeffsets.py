@@ -68,14 +68,6 @@ class SignalVector:
             raise ValueError(f"values must have shape ({expected},), "
                              f"got {self.values.shape}")
 
-    def is_member(self):
-        """Exact membership in the coefficient set."""
-        if self.coeff_set is CoeffSet.BOX01:
-            return bool(np.all((self.values >= 0.0) & (self.values <= 1.0)))
-        if self.coeff_set is CoeffSet.NONNEG:
-            return bool(np.all(self.values >= 0.0))
-        return True
-
 
 def norm_l1x(values, coeff_set):
     """The l1-type norm induced by the coefficient set.

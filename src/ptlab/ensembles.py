@@ -166,12 +166,6 @@ class MeasurementOperator:
         xb = np.asarray(x_real, dtype=float).reshape(B, c)
         return np.einsum("brc,bc->br", stack, xb).reshape(B * r)
 
-    def adjoint(self, y_real, coeff_set):
-        stack = self.real_block_stack(coeff_set)
-        B, r, c = stack.shape
-        yb = np.asarray(y_real, dtype=float).reshape(B, r)
-        return np.einsum("brc,br->bc", stack, yb).reshape(B * c)
-
 
 # ---------------------------------------------------------------------------
 # block samplers

@@ -40,8 +40,8 @@ CHUNK_STATE_BYTES = 4 * 2 ** 20
 CSV_COLUMNS = ["ell", "m", "M", "B", "S", "successes", "pi_hat",
                "ensemble", "coeffset", "seed"]
 
-# the keys of a config file: to_dict's, plus the solver block older manifests
-# carry and the ell_values list a grid run sweeps
+# the keys of a config file: to_dict's, plus the jobs and solver keys older
+# manifests carry (both ignored) and the ell_values list a grid run sweeps
 CONFIG_REQUIRED = ("ensemble", "coeffset", "ell", "m", "M", "B", "S",
                    "master_seed")
 CONFIG_OPTIONAL = ("matrix_policy", "K", "jobs", "solver", "ell_values")
@@ -59,7 +59,6 @@ class ExperimentConfig:
     master_seed: int
     matrix_policy: str = "fresh"   # fresh matrix per trial, or "fixed"
     K: tuple = None                # frequencies/rows for the DFT ensembles
-    jobs: int = 1
 
     def __post_init__(self):
         if self.matrix_policy not in ("fresh", "fixed"):
@@ -92,13 +91,11 @@ class ExperimentConfig:
         return "complex" if self.coeff_set is CoeffSet.COMPLEX else "real"
 
     def to_dict(self):
-        d = {"ensemble": self.ensemble, "coeffset": self.coeff_set.value,
-             "ell": self.ell, "m": self.m, "M": self.M, "B": self.B,
-             "S": self.S, "master_seed": self.master_seed,
-             "matrix_policy": self.matrix_policy,
-             "K": list(self.K) if self.K is not None else None,
-             "jobs": self.jobs}
-        return d
+        return {"ensemble": self.ensemble, "coeffset": self.coeff_set.value,
+                "ell": self.ell, "m": self.m, "M": self.M, "B": self.B,
+                "S": self.S, "master_seed": self.master_seed,
+                "matrix_policy": self.matrix_policy,
+                "K": list(self.K) if self.K is not None else None}
 
     @classmethod
     def from_dict(cls, d):
@@ -123,8 +120,7 @@ class ExperimentConfig:
                    B=int(d["B"]), S=int(d["S"]),
                    master_seed=int(d["master_seed"]),
                    matrix_policy=d.get("matrix_policy", "fresh"),
-                   K=d.get("K"),
-                   jobs=int(d.get("jobs", 1)))
+                   K=d.get("K"))
 
 
 @dataclass
@@ -206,15 +202,19 @@ def _fixed_matrix(config):
     return _build_matrix(config, stream(config.master_seed, "matrix", 0))
 
 
+def _trial_operator(config, t):
+    """Trial t's operator: the cell's one fixed matrix, or its own draw."""
+    if config.matrix_policy == "fixed":
+        return _fixed_matrix(config)
+    return _build_matrix(config, stream(config.master_seed, "matrix", t))
+
+
 def run_chunk(config, start, stop):
     """Trials start..stop-1 of one cell, solved in one batched kernel call;
     each record is a pure function of (config, t)."""
     ops, x0s, ys = [], [], []
     for t in range(start, stop):
-        if config.matrix_policy == "fixed":
-            op = _fixed_matrix(config)
-        else:
-            op = _build_matrix(config, stream(config.master_seed, "matrix", t))
+        op = _trial_operator(config, t)
         x0 = ensembles.sample_signal(config.sizes, config.coeff_set,
                                      stream(config.master_seed, "signal", t))
         ops.append(op)
@@ -241,18 +241,17 @@ def _guard(config):
 
 
 def _chunks(cell, jobs):
-    """(start, stop) of each kernel call for the cell's trials: `jobs` runs
-    of consecutive trials, each split again to keep its kernel state under
-    CHUNK_STATE_BYTES."""
-    c = cell.coeff_set.ambient_dim * cell.M
-    # dbuse draws a block per diagonal position; the others repeat one
-    shared = cell.ensemble != "dbuse" or cell.B == 1
-    size = max(1, CHUNK_STATE_BYTES // state_bytes(cell.B, c, shared))
-    bounds = []
-    for j in range(jobs):
-        lo, hi = cell.S * j // jobs, cell.S * (j + 1) // jobs
-        bounds += [(a, min(a + size, hi)) for a in range(lo, hi, size)]
-    return bounds
+    """(start, stop) of each kernel call for the cell's trials: runs of
+    at most ceil(S / jobs) consecutive trials, so that each of `jobs`
+    workers gets one, and shorter where the kernel state of trial 0's
+    operator says a run would outgrow CHUNK_STATE_BYTES."""
+    if cell.S == 0:
+        return []
+    op = _trial_operator(cell, 0)
+    B, _, c = op.real_block_stack(cell.coeff_set).shape
+    size = max(1, min(CHUNK_STATE_BYTES // state_bytes(B, c, op.shared),
+                      -(-cell.S // jobs)))
+    return [(a, min(a + size, cell.S)) for a in range(0, cell.S, size)]
 
 
 def _run_cells(cells, jobs):
@@ -277,9 +276,10 @@ def _run_cells(cells, jobs):
     return [list(itertools.islice(records, cell.S)) for cell in cells]
 
 
-def run_trials(config):
-    """S independent trials; records returned in trial order."""
-    return _run_cells([config], config.jobs)[0]
+def run_trials(config, jobs=1):
+    """S independent trials over `jobs` worker processes; records returned
+    in trial order, the same for any `jobs`."""
+    return _run_cells([config], jobs)[0]
 
 
 def summarize(config, records):
@@ -306,9 +306,10 @@ def default_window(m, M, B, coeff_set):
     return list(range(lo, hi + 1))
 
 
-def run_phase_grid(config, ell_values=None):
+def run_phase_grid(config, ell_values=None, jobs=1):
     """Sweep ell at constant S per cell; each cell gets its own derived seed.
-    The trials of all cells share one process pool (see _run_cells)."""
+    The trials of all cells share one pool of `jobs` processes (see
+    _run_cells)."""
     if ell_values is None:
         ell_values = default_window(config.m, config.M, config.B,
                                     config.coeff_set)
@@ -318,4 +319,4 @@ def run_phase_grid(config, ell_values=None):
                         .integers(2 ** 62))
         cells.append(replace(config, ell=int(ell), master_seed=cell_seed))
     return SuccessTable(list(map(summarize, cells,
-                                 _run_cells(cells, config.jobs))))
+                                 _run_cells(cells, jobs))))

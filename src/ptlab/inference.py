@@ -206,8 +206,11 @@ def hypothesis_test(y_bar, S, B, q_star=Q_STAR_MULTI, alpha=0.05):
     failure fraction: mu = log(1/q*)/B, band mu +- z_{1-a/2} sqrt(mu/S)."""
     if S < 1 or B < 1:
         raise ValueError("need S >= 1 and B >= 1")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    if not (0.0 < alpha < 1.0 and 0.0 < q_star < 1.0):
+        raise ValueError("alpha and q_star must lie in (0, 1)")
+    if not 0.0 <= y_bar <= 1.0:
+        raise ValueError(f"the failure fraction y_bar must lie in [0, 1], "
+                         f"got {y_bar}")
     mu = math.log(1.0 / q_star) / B
     half = float(ndtri(1.0 - alpha / 2.0)) * math.sqrt(mu / S)
     lo, hi = mu - half, mu + half

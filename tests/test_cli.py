@@ -210,7 +210,7 @@ def grid_config(tmp_path):
 
 
 def test_grid_table_independent_of_jobs(capsys, tmp_path):
-    # 3 workers split each cell's 10 trials into chunks of 3, 3 and 4
+    # 3 workers split each cell's 10 trials into chunks of 4, 4 and 2
     path = grid_config(tmp_path)
     for jobs in ("1", "2", "3"):
         code, _, _ = run_cli(capsys, "grid", "--config", str(path),
@@ -223,15 +223,20 @@ def test_grid_table_independent_of_jobs(capsys, tmp_path):
 
 
 def test_trials_csv_independent_of_jobs(capsys, tmp_path):
-    # 7 trials over 3 workers: chunks of 2, 2 and 3 trials
+    # 7 trials over 3 workers: chunks of 3, 3 and 1 trials
     path = trial_config(tmp_path)
     path.write_text(json.dumps(dict(json.loads(path.read_text()), S=7)))
+    manifests = []
     for jobs in ("1", "3"):
         code, _, _ = run_cli(capsys, "trials", "--config", str(path),
                              "-o", str(tmp_path / f"j{jobs}"), "--jobs", jobs)
         assert code == 0
+        manifests.append(json.loads(
+            (tmp_path / f"j{jobs}" / "manifest.json").read_text()))
     assert (tmp_path / "j1" / "trials.csv").read_bytes() == \
         (tmp_path / "j3" / "trials.csv").read_bytes()
+    assert manifests[0]["config"] == manifests[1]["config"]
+    assert [m["jobs"] for m in manifests] == [1, 3]
 
 
 def test_grid_manifest_reproduces_table(capsys, tmp_path):
@@ -349,6 +354,21 @@ def test_test_subcommand_json(capsys):
     assert payload["mu"] == pytest.approx(0.0045868, abs=1e-7)
 
 
+def test_test_rejects_impossible_failure_fractions(capsys):
+    for fraction in (["--failures", "50"], ["--failures", "-2"],
+                     ["--ybar", "1.7"], ["--ybar", "-0.1"]):
+        code, out, err = run_cli(capsys, "test", *fraction, "--S", "10",
+                                 "--B", "4")
+        assert code == 2
+        assert "must lie in [0, 1]" in err and out == ""
+    for argv in (["--ybar", "0.1", "--failures", "1", "--S", "10"],
+                 ["--S", "10"], ["--failures", "1", "--S", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["test", *argv, "--B", "4"])
+        assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_verify_subcommand(capsys, tmp_path):
     out_file = tmp_path / "verify.json"
     code, _, _ = run_cli(capsys, "verify", "--instances", "2",
@@ -357,3 +377,13 @@ def test_verify_subcommand(capsys, tmp_path):
     report = json.loads(out_file.read_text())
     assert report["pass"] is True
     assert len(report["gram"]) == 4
+
+
+def test_verify_instances_below_one_is_usage_error(capsys, tmp_path):
+    out_file = tmp_path / "verify.json"
+    for instances in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--instances", instances, "-o", str(out_file)])
+        assert exc.value.code == 2
+        assert "--instances" in capsys.readouterr().err
+    assert not out_file.exists()

@@ -154,9 +154,3 @@ def test_count_free_per_block():
 def test_signal_vector_shape_check():
     with pytest.raises(ValueError):
         SignalVector(np.zeros(5), CoeffSet.COMPLEX, 3, 1)
-
-
-def test_membership():
-    assert sv([0.0, 1.0, 0.3], CoeffSet.BOX01).is_member()
-    assert not sv([0.0, 1.2, 0.3], CoeffSet.BOX01).is_member()
-    assert not sv([-0.1, 0.0], CoeffSet.NONNEG).is_member()

@@ -10,7 +10,7 @@ from ptlab.coeffsets import CoeffSet
 from ptlab.exactprob import q_sb_exact
 from ptlab.experiments import (ExperimentConfig, SuccessTable, run_phase_grid,
                                run_trials, summarize)
-from ptlab.solver import DEFAULT_OPTIONS
+from ptlab.solver import DEFAULT_OPTIONS, state_bytes
 
 
 def tiny_config(**kw):
@@ -33,7 +33,7 @@ def test_determinism_same_seed():
 
 def test_determinism_across_workers():
     serial = run_trials(tiny_config(S=10))
-    parallel = run_trials(tiny_config(S=10, jobs=2))
+    parallel = run_trials(tiny_config(S=10), jobs=2)
     assert [r.rel_error for r in serial] == [r.rel_error for r in parallel]
 
 
@@ -109,9 +109,9 @@ def test_grid_same_rows_across_workers():
     config = tiny_config(S=10, coeff_set=CoeffSet.REAL, M=8, m=4, B=2,
                          master_seed=21)
     serial = run_phase_grid(config, ell_values=[0, 1, 2, 3, 4])
-    for jobs in (2, 3):   # 3 workers split each cell into 3, 3 and 4
-        parallel = run_phase_grid(replace(config, jobs=jobs),
-                                  ell_values=[0, 1, 2, 3, 4])
+    for jobs in (2, 3):   # 3 workers split each cell into 4, 4 and 2
+        parallel = run_phase_grid(config, ell_values=[0, 1, 2, 3, 4],
+                                  jobs=jobs)
         assert parallel.rows == serial.rows
 
 
@@ -132,12 +132,12 @@ def test_grid_runs_one_pool_per_campaign(monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(experiments, "summarize", keep_records)
     config = tiny_config(S=6, coeff_set=CoeffSet.REAL, M=8, m=4, B=2,
-                         master_seed=21, jobs=2)
-    run_phase_grid(config, ell_values=[0, 2, 4])
+                         master_seed=21)
+    run_phase_grid(config, ell_values=[0, 2, 4], jobs=2)
     assert starts == [{"max_workers": 2}]
     assert [cell.ell for cell, _ in cells] == [0, 2, 4]
     for cell, records in cells:
-        serial = run_trials(replace(cell, jobs=1))
+        serial = run_trials(cell)
         assert [r.trial_index for r in records] == list(range(6))
         assert [r.rel_error for r in records] == \
             [r.rel_error for r in serial]
@@ -151,6 +151,23 @@ def test_chunk_wall_times_share_the_solve_time():
     assert [r.trial_index for r in records] == list(range(12))
     assert all(r.wall_time > 0.0 for r in records)
     assert sum(r.wall_time for r in records) <= elapsed
+
+
+def test_chunk_size_from_the_operator():
+    # criterion 7's shape, 48 real columns a block: one repeated block's
+    # projector leaves room for 25 trials under CHUNK_STATE_BYTES, and 24
+    # distinct blocks' projectors for 7
+    for ensemble, shared, size in (("rbuse", True, 25), ("dbuse", False, 7)):
+        cell = tiny_config(ensemble=ensemble, coeff_set=CoeffSet.COMPLEX,
+                           ell=5, m=12, M=24, B=24, S=60)
+        assert size == \
+            experiments.CHUNK_STATE_BYTES // state_bytes(24, 48, shared)
+        assert experiments._chunks(cell, 1) == \
+            [(a, min(a + size, 60)) for a in range(0, 60, size)]
+    # with more workers the trials are dealt out evenly first
+    assert experiments._chunks(replace(cell, ensemble="rbuse"), 4) == \
+        [(0, 15), (15, 30), (30, 45), (45, 60)]
+    assert experiments._chunks(replace(cell, S=0), 2) == []
 
 
 def failure_rate(config):
@@ -255,6 +272,9 @@ def test_config_keys_checked():
                          + experiments.CONFIG_OPTIONAL)
     assert ExperimentConfig.from_dict(dict(d, ell_values=[0, 1])) == \
         tiny_config()
+    # older manifests hold the worker count in the config; it is ignored
+    assert "jobs" not in d
+    assert ExperimentConfig.from_dict(dict(d, jobs=4)) == tiny_config()
     with pytest.raises(ValueError,
                        match=r"missing \['ell', 'S'\], unknown \[\]"):
         ExperimentConfig.from_dict({k: v for k, v in d.items()

@@ -121,6 +121,13 @@ def test_hypothesis_test_outcomes():
         hypothesis_test(0.1, 0, 10)
     with pytest.raises(ValueError):
         hypothesis_test(0.1, 10, 10, alpha=1.5)
+    for q_star in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="q_star must lie in"):
+            hypothesis_test(0.1, 10, 10, q_star=q_star)
+    assert hypothesis_test(1.0, 10, 10).outcome is TestOutcome.REJECT_H0
+    for y_bar in (5.0, -0.2, 1.7, float("nan")):
+        with pytest.raises(ValueError, match="must lie in"):
+            hypothesis_test(y_bar, 10, 10)
 
 
 def test_parse_link():
