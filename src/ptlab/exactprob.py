@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtri
 
 Q_STAR_SINGLE = 0.5
 Q_STAR_MULTI = 1.0 - 1.0 / math.e
@@ -45,6 +44,7 @@ def binom_tail(k, n):
             total += term
             term = term * (n - 1 - j) // (j + 1)
         return total / (1 << (n - 1))
+    from scipy.special import gammaln
     j = np.arange(k)
     logs = gammaln(n) - gammaln(j + 1) - gammaln(n - j) - (n - 1) * math.log(2.0)
     shift = logs.max()
@@ -128,6 +128,7 @@ def z_b(q_star, B):
     arg = math.log(1.0 / q_star) / B
     if not 0.0 < arg < 1.0:
         raise ValueError(f"Phi^-1 argument {arg:.6g} outside (0, 1)")
+    from scipy.special import ndtri
     return float(ndtri(arg))
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .exactprob import Q_STAR_MULTI
 
@@ -38,10 +37,13 @@ class SeparationError(RuntimeError):
     """No cell has 0 < pi_hat < 1; the MLE is unstable so the fit aborts."""
 
 
-def _inv_link(eta, link):
+def _link_functions(link):
+    """The inverse link and the link of `link`; a probit fit loads SciPy."""
     if link is Link.PROBIT:
-        return ndtr(eta)
-    return 1.0 - np.exp(-np.exp(eta))
+        from scipy.special import ndtr, ndtri
+        return ndtr, ndtri
+    return (lambda eta: 1.0 - np.exp(-np.exp(eta)),
+            lambda p: np.log(-np.log(1.0 - p)))
 
 
 def _dpi(eta, link):
@@ -58,14 +60,8 @@ def _d2pi(eta, link):
     return (s - s ** 2) * np.exp(-s)
 
 
-def _link_fn(p, link):
-    if link is Link.PROBIT:
-        return ndtri(p)
-    return np.log(-np.log(1.0 - p))
-
-
-def _loglik(y, S, eta, link):
-    pi = np.clip(_inv_link(eta, link), 1e-12, 1.0 - 1e-12)
+def _loglik(y, S, eta, inv_link):
+    pi = np.clip(inv_link(eta), 1e-12, 1.0 - 1e-12)
     return float(np.sum(y * np.log(pi) + (S - y) * np.log(1.0 - pi)))
 
 
@@ -100,15 +96,16 @@ def fit_quantal(table, link=Link.CLL):
     if not np.any((phat > 0.0) & (phat < 1.0)):
         raise SeparationError("all cells are pure successes/failures")
 
+    inv_link, link_fn = _link_functions(link)
     X = np.column_stack([np.ones_like(eps), eps])
     p0 = np.clip(phat, 0.5 / S, 1.0 - 0.5 / S)
-    beta = np.linalg.lstsq(X, _link_fn(p0, link), rcond=None)[0]
-    ll = _loglik(y, S, X @ beta, link)
+    beta = np.linalg.lstsq(X, link_fn(p0), rcond=None)[0]
+    ll = _loglik(y, S, X @ beta, inv_link)
     converged = False
     it = 0
     for it in range(1, FIT_MAX_ITERS + 1):
         eta = X @ beta
-        pi = np.clip(_inv_link(eta, link), 1e-12, 1.0 - 1e-12)
+        pi = np.clip(inv_link(eta), 1e-12, 1.0 - 1e-12)
         d = _dpi(eta, link)
         w = S * d ** 2 / (pi * (1.0 - pi))
         z = eta + (phat - pi) / np.where(d != 0.0, d, 1e-300)
@@ -119,11 +116,11 @@ def fit_quantal(table, link=Link.CLL):
             raise ValueError("degenerate design in quantal fit") from None
         # step-halve if the likelihood would drop (keeps it non-decreasing)
         step = 1.0
-        ll_new = _loglik(y, S, X @ beta_new, link)
+        ll_new = _loglik(y, S, X @ beta_new, inv_link)
         while ll_new < ll - 1e-12 and step > 1e-8:
             step *= 0.5
             beta_new = beta + step * (beta_new - beta)
-            ll_new = _loglik(y, S, X @ beta_new, link)
+            ll_new = _loglik(y, S, X @ beta_new, inv_link)
         change = float(np.max(np.abs(beta_new - beta)))
         beta, ll = beta_new, ll_new
         if change < FIT_TOL:
@@ -131,7 +128,7 @@ def fit_quantal(table, link=Link.CLL):
             break
 
     a, b = float(beta[0]), float(beta[1])
-    cov = _observed_cov(X, y, S, X @ beta, link)
+    cov = _observed_cov(X, y, S, X @ beta, link, inv_link)
     se_a, se_b = math.sqrt(max(cov[0, 0], 0.0)), math.sqrt(max(cov[1, 1], 0.0))
     if b != 0.0:
         eps_star = -a / b
@@ -163,8 +160,8 @@ def _as_cells(table):
             np.asarray(y, float)[order])
 
 
-def _observed_cov(X, y, S, eta, link):
-    pi = np.clip(_inv_link(eta, link), 1e-12, 1.0 - 1e-12)
+def _observed_cov(X, y, S, eta, link, inv_link):
+    pi = np.clip(inv_link(eta), 1e-12, 1.0 - 1e-12)
     d = _dpi(eta, link)
     d2 = _d2pi(eta, link)
     score_pi = y / pi - (S - y) / (1.0 - pi)
@@ -211,6 +208,7 @@ def hypothesis_test(y_bar, S, B, q_star=Q_STAR_MULTI, alpha=0.05):
     if not 0.0 <= y_bar <= 1.0:
         raise ValueError(f"the failure fraction y_bar must lie in [0, 1], "
                          f"got {y_bar}")
+    from scipy.special import ndtri
     mu = math.log(1.0 / q_star) / B
     half = float(ndtri(1.0 - alpha / 2.0)) * math.sqrt(mu / S)
     lo, hi = mu - half, mu + half

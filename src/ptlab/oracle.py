@@ -21,8 +21,6 @@ reported value is the objective at a point that really is feasible.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog
 
 from .coeffsets import CoeffSet
 
@@ -75,6 +73,7 @@ def _result(A, y, value, x):
 
 
 def _lp_highs(A, y, coeff_set):
+    from scipy.optimize import linprog
     m, N = A.shape
     if coeff_set is CoeffSet.REAL:
         res = linprog(np.ones(2 * N), A_eq=np.hstack([A, -A]), b_eq=y,
@@ -134,6 +133,7 @@ def socp_min_l1x(A, y, coeff_set):
     x = np.linalg.lstsq(A, y, rcond=None)[0]
     if np.linalg.norm(A @ x - y) > 1e-8 * (1.0 + np.linalg.norm(y)):
         raise RuntimeError("barrier oracle: equality system is inconsistent")
+    from scipy.linalg import null_space
     Z = null_space(A)
     s = np.linalg.norm(x.reshape(N, b), axis=1) + 1.0
     t = 1.0

@@ -18,9 +18,6 @@ gamma = sqrt(2 log(B) / M).
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import ndtr
-
 from .coeffsets import CoeffSet
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -35,9 +32,9 @@ def _phi(t):
     return math.exp(-0.5 * t * t) / SQRT_2PI
 
 
-def _excess(tau, coeff_set):
-    """E dist^2(g, tau * subdifferential at a boundary/zero coefficient)."""
-    c = float(ndtr(-tau))
+def _excess(tau, c, coeff_set):
+    """E dist^2(g, tau * subdifferential at a boundary/zero coefficient),
+    given c = Phi(-tau)."""
     p = _phi(tau)
     if coeff_set is CoeffSet.REAL:
         return 2.0 * ((1.0 + tau * tau) * c - tau * p)
@@ -50,17 +47,28 @@ def _excess(tau, coeff_set):
 def statdim_ratio(eps, coeff_set):
     """Normalized statistical dimension of the descent cone at sparsity eps;
     recovery succeeds asymptotically iff delta exceeds this value."""
-    amb = coeff_set.ambient_dim
     if coeff_set is CoeffSet.BOX01:
         return (1.0 + eps) / 2.0
+    return _statdim_ratio_fn(coeff_set)(eps)
 
-    def objective(tau):
-        return (eps * (amb + tau * tau)
-                + (1.0 - eps) * _excess(tau, coeff_set)) / amb
 
-    res = minimize_scalar(objective, bounds=(0.0, 40.0), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(res.fun)
+def _statdim_ratio_fn(coeff_set):
+    """eps -> statdim_ratio(eps, coeff_set) for a set other than BOX01, with
+    SciPy loaded once for every evaluation a root search makes."""
+    from scipy.optimize import minimize_scalar
+    from scipy.special import ndtr
+    amb = coeff_set.ambient_dim
+
+    def ratio(eps):
+        def objective(tau):
+            excess = _excess(tau, float(ndtr(-tau)), coeff_set)
+            return (eps * (amb + tau * tau) + (1.0 - eps) * excess) / amb
+
+        res = minimize_scalar(objective, bounds=(0.0, 40.0), method="bounded",
+                              options={"xatol": 1e-12})
+        return float(res.fun)
+
+    return ratio
 
 
 def asymptotic_pt(delta, coeff_set):
@@ -71,7 +79,9 @@ def asymptotic_pt(delta, coeff_set):
         return max(2.0 * delta - 1.0, 0.0)
     if delta == 1.0:
         return 1.0
-    return float(brentq(lambda e: statdim_ratio(e, coeff_set) - delta,
+    from scipy.optimize import brentq
+    ratio = _statdim_ratio_fn(coeff_set)
+    return float(brentq(lambda e: ratio(e) - delta,
                         1e-14, 1.0 - 1e-14, xtol=1e-12))
 
 

@@ -1,4 +1,8 @@
 import io
+import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -10,6 +14,7 @@ from ptlab.coeffsets import CoeffSet
 from ptlab.exactprob import q_sb_exact
 from ptlab.experiments import (ExperimentConfig, SuccessTable, run_phase_grid,
                                run_trials, summarize)
+from ptlab.predict import predict_pt
 from ptlab.solver import DEFAULT_OPTIONS, state_bytes
 
 
@@ -284,3 +289,41 @@ def test_config_keys_checked():
         bad = dict(d, matrix_polcy="fixed", mm=4)
         del bad["M"]
         ExperimentConfig.from_dict(bad)
+
+
+GUARD_SCRIPT = """
+import json, sys
+import numpy as np
+import ptlab, ptlab.cli
+from ptlab import CoeffSet, ExperimentConfig, Link, fit_quantal, run_trials
+records = run_trials(ExperimentConfig.from_dict(
+    {"ensemble": "dbuse", "coeffset": "real", "ell": 1, "m": 3, "M": 5,
+     "B": 2, "S": 6, "master_seed": 9}))
+fit = fit_quantal([(0.1, 40, 38), (0.2, 40, 25), (0.3, 40, 4)], Link.CLL)
+before = sorted(m for m in sys.modules if m.startswith("scipy"))
+pred = ptlab.predict_pt(12, 24, 24, CoeffSet.COMPLEX)
+A = np.random.default_rng(3).standard_normal((6, 10))
+y = A @ np.r_[1.5, -2.0, np.zeros(8)]
+values = [ptlab.lp_oracle(A, y, CoeffSet.REAL, engine).value
+          for engine in ("highs", "barrier")]
+print(json.dumps({"trials": len(records), "fit": fit.eps_star,
+                  "scipy_before": before, "eps_bd": repr(pred.eps_bd_second),
+                  "values": values}))
+"""
+
+
+def test_campaign_loads_no_scipy(tmp_path):
+    """import ptlab, a campaign and a CLL fit use NumPy only; SciPy loads
+    when a prediction or the oracle first needs it."""
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", GUARD_SCRIPT], env=env,
+                         cwd=tmp_path, capture_output=True, text=True,
+                         check=True, timeout=120)
+    result = json.loads(out.stdout)
+    assert result["scipy_before"] == []
+    assert result["trials"] == 6 and 0.1 < result["fit"] < 0.3
+    assert result["eps_bd"] == repr(
+        predict_pt(12, 24, 24, CoeffSet.COMPLEX).eps_bd_second)
+    assert result["values"][0] == pytest.approx(3.5, abs=1e-8)
+    assert result["values"][1] == pytest.approx(result["values"][0], abs=1e-8)

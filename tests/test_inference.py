@@ -76,11 +76,12 @@ def test_loglik_improves_over_start():
     eps = np.array([c[0] for c in cells])
     S = np.array([c[1] for c in cells], float)
     y = np.array([c[2] for c in cells], float)
-    from ptlab.inference import _link_fn, _loglik
+    from ptlab.inference import _link_functions, _loglik
+    inv_link, link_fn = _link_functions(Link.CLL)
     p0 = np.clip(y / S, 0.5 / S, 1 - 0.5 / S)
     X = np.column_stack([np.ones_like(eps), eps])
-    beta0 = np.linalg.lstsq(X, _link_fn(p0, Link.CLL), rcond=None)[0]
-    assert fit.loglik >= _loglik(y, S, X @ beta0, Link.CLL) - 1e-9
+    beta0 = np.linalg.lstsq(X, link_fn(p0), rcond=None)[0]
+    assert fit.loglik >= _loglik(y, S, X @ beta0, inv_link) - 1e-9
 
 
 def test_affine_reparameterization_consistency():
