@@ -81,6 +81,8 @@ def _positive_int(text):
 def cmd_exactprob(args):
     rows = []
     q_star = args.qstar if args.qstar is not None else default_q_star(args.B)
+    if not 0.0 < q_star < 1.0:
+        raise ValueError(f"q_star must lie in (0, 1), got {q_star}")
     for ell in range(0, args.M + 1):
         rows.append((ell, q_sb_exact(ell, args.m, args.M),
                      q_mb_exact(ell, args.m, args.M, args.B)))
@@ -100,13 +102,14 @@ def cmd_exactprob(args):
 
 def cmd_predict(args):
     cs = parse_coeffset(args.coeffset)
+    rows = [(delta, predict_pt_delta(delta, args.M, args.B, cs))
+            for delta in args.delta]
     with _output(args.output) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["delta", "eps_asy", "eps_bd_first", "eps_bd_second",
                     "rel_offset_first", "rel_offset_second", "gamma",
                     "extrapolated"])
-        for delta in args.delta:
-            p = predict_pt_delta(delta, args.M, args.B, cs)
+        for delta, p in rows:
             w.writerow([repr(delta), repr(p.eps_asy), repr(p.eps_bd_first),
                         repr(p.eps_bd_second), repr(p.rel_offset_first),
                         repr(p.rel_offset_second), repr(p.gamma),

@@ -56,6 +56,31 @@ def test_predict_prints_both_orders(capsys):
     assert exc.value.code == 2
 
 
+def test_predict_bad_input_writes_nothing(capsys, tmp_path):
+    out_file = tmp_path / "pred.csv"
+    for M, B, deltas in (("48", "1", ["0.75"]), ("1", "48", ["0.75"]),
+                         ("48", "48", ["0"]), ("48", "48", ["1.5"]),
+                         ("48", "48", ["0.5", "0"])):
+        argv = ["predict", "--coeffset", "C", "--M", M, "--B", B,
+                "--delta", *deltas]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert run_cli(capsys, *argv, "-o", str(out_file))[0] == 2
+        assert not out_file.exists()
+
+
+def test_exactprob_qstar_outside_unit_interval_is_refused(capsys, tmp_path):
+    out_file = tmp_path / "exact.csv"
+    for q_star in ("1.5", "1", "0", "-0.2", "nan"):
+        argv = ["exactprob", "--M", "6", "--m", "4", "--B", "2",
+                "--qstar", q_star]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "q_star must lie in (0, 1)" in err
+        assert run_cli(capsys, *argv, "-o", str(out_file))[0] == 2
+        assert not out_file.exists()
+
+
 def test_missing_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["predict", "--coeffset", "C"])
