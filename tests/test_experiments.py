@@ -316,7 +316,8 @@ def test_campaign_loads_no_scipy(tmp_path):
     """import ptlab, a campaign and a CLL fit use NumPy only; SciPy loads
     when a prediction or the oracle first needs it."""
     src = os.path.dirname(os.path.dirname(experiments.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", GUARD_SCRIPT], env=env,
                          cwd=tmp_path, capture_output=True, text=True,
                          check=True, timeout=120)
