@@ -5,10 +5,13 @@ recovery from dense Gaussian measurements transitions, in k/N units.  BOX01
 has the closed form (2*delta - 1)_+; the other sets solve the descent-cone
 statistical-dimension fixed point
 
-    delta = min_tau [ eps * E||g_free - tau * df||^2-type term
-                      + (1 - eps) * E dist^2(g, tau * subdifferential) ] / ambient
+    delta = min_tau [ eps * (ambient + tau^2)
+                      + (1 - eps) * E dist^2(g, tau * subdifferential) ] / ambient.
 
-numerically (bisection over eps, inner scalar minimization over tau).
+The objective is stationary at the optimal threshold tau (Amelunxen, Lotz,
+McCoy & Tropp, *Living on the edge*, 2014, sec. 4), which gives eps in
+closed form: each tau > 0 is one point (eps, delta) of the curve.  Both fall
+from 1 at tau = 0 toward 0 as tau grows, so one bisection on tau solves it.
 
 Finite-size predictions displace the asymptotic curve downward by the
 relative offset alpha*eta*gamma (+ beta*zeta*gamma^2 at second order) with
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 from .coeffsets import CoeffSet
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+TAU_MAX = 40.0  # the curve is within underflow of (0, 0) here
 
 ALPHA = {CoeffSet.BOX01: 1.0, CoeffSet.NONNEG: 1.0,
          CoeffSet.REAL: 1.0, CoeffSet.COMPLEX: 2.0 / 3.0}
@@ -28,20 +32,40 @@ BETA = {CoeffSet.BOX01: 0.5, CoeffSet.NONNEG: -1.0 / 3.0,
         CoeffSet.REAL: -0.5, CoeffSet.COMPLEX: -1.0 / 3.0}
 
 
-def _phi(t):
-    return math.exp(-0.5 * t * t) / SQRT_2PI
-
-
-def _excess(tau, c, coeff_set):
-    """E dist^2(g, tau * subdifferential at a boundary/zero coefficient),
-    given c = Phi(-tau)."""
-    p = _phi(tau)
+def _excess(tau, coeff_set):
+    """E(tau) = E dist^2(g, tau * subdifferential at a boundary/zero
+    coefficient) and its derivative E'(tau); c = Phi(-tau), p = phi(tau)."""
+    c = 0.5 * math.erfc(tau / math.sqrt(2.0))
+    p = math.exp(-0.5 * tau * tau) / SQRT_2PI
     if coeff_set is CoeffSet.REAL:
-        return 2.0 * ((1.0 + tau * tau) * c - tau * p)
+        return 2.0 * ((1.0 + tau * tau) * c - tau * p), 4.0 * (tau * c - p)
     if coeff_set is CoeffSet.NONNEG:
-        return (1.0 + tau * tau) * c - tau * p
+        return (1.0 + tau * tau) * c - tau * p, 2.0 * (tau * c - p)
     # COMPLEX: radial part is Rayleigh
-    return 2.0 * math.exp(-0.5 * tau * tau) - 2.0 * SQRT_2PI * tau * c
+    return (2.0 * math.exp(-0.5 * tau * tau) - 2.0 * SQRT_2PI * tau * c,
+            -2.0 * SQRT_2PI * c)
+
+
+def _curve_point(tau, coeff_set, eps=None):
+    """(eps, delta) where tau is the optimal threshold: the eps that makes
+    the objective stationary at tau (unless given) and the objective."""
+    excess, slope = _excess(tau, coeff_set)
+    if eps is None:
+        eps = -slope / (2.0 * tau - slope)
+    amb = coeff_set.ambient_dim
+    return eps, (eps * (amb + tau * tau) + (1.0 - eps) * excess) / amb
+
+
+def _solve_tau(coeff_set, axis, target):
+    """The tau in (0, TAU_MAX] at which coordinate `axis` (0: eps,
+    1: delta) of the curve falls to target, by bisection to the last bit."""
+    lo, hi = 0.0, TAU_MAX
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _curve_point(mid, coeff_set)[axis] > target:
+            lo = mid
+        else:
+            hi = mid
+    return mid
 
 
 def statdim_ratio(eps, coeff_set):
@@ -49,40 +73,18 @@ def statdim_ratio(eps, coeff_set):
     recovery succeeds asymptotically iff delta exceeds this value."""
     if coeff_set is CoeffSet.BOX01:
         return (1.0 + eps) / 2.0
-    return _statdim_ratio_fn(coeff_set)(eps)
-
-
-def _statdim_ratio_fn(coeff_set):
-    """eps -> statdim_ratio(eps, coeff_set) for a set other than BOX01, with
-    SciPy loaded once for every evaluation a root search makes."""
-    from scipy.optimize import minimize_scalar
-    from scipy.special import ndtr
-    amb = coeff_set.ambient_dim
-
-    def ratio(eps):
-        def objective(tau):
-            excess = _excess(tau, float(ndtr(-tau)), coeff_set)
-            return (eps * (amb + tau * tau) + (1.0 - eps) * excess) / amb
-
-        res = minimize_scalar(objective, bounds=(0.0, 40.0), method="bounded",
-                              options={"xatol": 1e-12})
-        return float(res.fun)
-
-    return ratio
+    return _curve_point(_solve_tau(coeff_set, 0, eps), coeff_set, eps)[1]
 
 
 def asymptotic_pt(delta, coeff_set):
-    """eps*(delta; X) in k/N units, solved by bisection on the fixed point."""
+    """eps*(delta; X) in k/N units: the curve point at delta."""
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     if coeff_set is CoeffSet.BOX01:
         return max(2.0 * delta - 1.0, 0.0)
     if delta == 1.0:
         return 1.0
-    from scipy.optimize import brentq
-    ratio = _statdim_ratio_fn(coeff_set)
-    return float(brentq(lambda e: ratio(e) - delta,
-                        1e-14, 1.0 - 1e-14, xtol=1e-12))
+    return _curve_point(_solve_tau(coeff_set, 1, delta), coeff_set)[0]
 
 
 def gamma_factor(M, B):
@@ -109,11 +111,8 @@ def eta_shape(delta, coeff_set):
 
 def zeta_shape(delta, coeff_set):
     """Second-order shape: 1 for BOX01, eta otherwise."""
-    if coeff_set is CoeffSet.BOX01:
-        if not 0.5 < delta <= 1.0:
-            raise ValueError("BOX01 shape defined for delta in (1/2, 1]")
-        return 1.0
-    return eta_shape(delta, coeff_set)
+    eta = eta_shape(delta, coeff_set)  # checks delta for every set
+    return 1.0 if coeff_set is CoeffSet.BOX01 else eta
 
 
 @dataclass(frozen=True)
@@ -175,9 +174,8 @@ def general_d_offset(d, d_e, delta, N):
         raise ValueError(f"N = {N} is not a perfect {d}-th power")
     if d_e == 0:
         return 0.0
-    d_r = d - d_e
     return math.sqrt(4.0 * (d_e / d) * (1.0 - delta) * math.log(N)
-                     / N ** (d_r / d))
+                     / N ** ((d - d_e) / d))
 
 
 def mri_offset(dims, delta, M):

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from ptlab.coeffsets import CoeffSet
 from ptlab.exactprob import critical_ell, q_mb_exact
-from ptlab.predict import (ALPHA, BETA, asymptotic_pt, eta_shape,
+from ptlab.predict import (ALPHA, BETA, _excess, asymptotic_pt, eta_shape,
                            gamma_factor, general_d_offset, mri_offset,
                            predict_pt, predict_pt_delta, statdim_ratio,
                            zeta_shape)
@@ -26,15 +26,30 @@ def _gauss(z):
     return math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
 
 
-def _excess_quad(tau, cs):
+def _density(cs):
+    """(k, w): E(tau) = k * int_tau^inf (z - tau)^2 w(z) dz, so that
+    E'(tau) = -2k * int_tau^inf (z - tau) w(z) dz."""
     if cs is CoeffSet.REAL:
-        val, _ = quad(lambda z: 2 * (z - tau) ** 2 * _gauss(z), tau, np.inf)
-    elif cs is CoeffSet.NONNEG:
-        val, _ = quad(lambda z: (z - tau) ** 2 * _gauss(z), tau, np.inf)
-    else:  # COMPLEX: radial density r exp(-r^2/2)
-        val, _ = quad(lambda r: (r - tau) ** 2 * r * math.exp(-0.5 * r * r),
-                      tau, np.inf)
-    return val
+        return 2, _gauss
+    if cs is CoeffSet.NONNEG:
+        return 1, _gauss
+    return 1, lambda r: r * math.exp(-0.5 * r * r)  # COMPLEX: radial Rayleigh
+
+
+def _excess_quad(tau, cs):
+    k, w = _density(cs)
+    val, _ = quad(lambda z: (z - tau) ** 2 * w(z), tau, np.inf)
+    return k * val
+
+
+def _tail_moment(tau, cs, power):
+    """k * int_tau^inf (z - tau)^power w(z) dz near roundoff.  The weight
+    past tau + 40 is below the double-precision floor, and on that finite
+    range quad keeps all digits where on [tau, inf) it loses 7 at tau = 4."""
+    k, w = _density(cs)
+    val, _ = quad(lambda z: (z - tau) ** power * w(z), tau, tau + 40.0,
+                  epsabs=0.0, epsrel=1e-13, limit=200)
+    return k * val
 
 
 def _ratio_quad(eps, cs):
@@ -67,6 +82,32 @@ def test_asymptotic_against_quadrature_oracle():
                       (CoeffSet.COMPLEX, 0.5), (CoeffSet.REAL, 0.25)):
         assert asymptotic_pt(delta, cs) == pytest.approx(_pt_quad(delta, cs),
                                                          abs=5e-6)
+
+
+CURVE_SETS = (CoeffSet.REAL, CoeffSet.NONNEG, CoeffSet.COMPLEX)
+
+
+def test_excess_closed_forms_against_quadrature():
+    for cs in CURVE_SETS:
+        for tau in (0.1, 0.5, 1.0, 2.0, 4.0):
+            excess, slope = _excess(tau, cs)
+            assert excess == pytest.approx(_tail_moment(tau, cs, 2), rel=1e-12)
+            assert slope == pytest.approx(-2 * _tail_moment(tau, cs, 1),
+                                          rel=1e-12)
+
+
+def test_statdim_ratio_against_quadrature_oracle():
+    for cs in CURVE_SETS:
+        for eps in (0.05, 0.2, 0.5, 0.8):
+            assert statdim_ratio(eps, cs) == pytest.approx(
+                _ratio_quad(eps, cs), abs=1e-8)
+
+
+def test_statdim_ratio_inverts_asymptotic_pt():
+    for cs in CURVE_SETS:
+        for delta in np.arange(0.02, 1.0, 0.04):
+            assert statdim_ratio(asymptotic_pt(delta, cs), cs) == \
+                pytest.approx(delta, abs=1e-12)
 
 
 def test_asymptotic_box01_closed_form():
