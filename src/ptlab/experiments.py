@@ -13,7 +13,7 @@ import functools
 import itertools
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -36,9 +36,6 @@ SINGLE_BLOCK_M_LIMIT = 1024
 # chunk holds more memory than one trial needs (one distinct-block trial
 # at the multiblock guard needs ~130 MB).
 CHUNK_STATE_BYTES = 4 * 2 ** 20
-
-CSV_COLUMNS = ["ell", "m", "M", "B", "S", "successes", "pi_hat",
-               "ensemble", "coeffset", "seed"]
 
 # the keys of a config file: to_dict's, plus the jobs and solver keys older
 # manifests carry (both ignored) and the ell_values list a grid run sweeps
@@ -157,6 +154,11 @@ class SuccessRow:
     seed: int
 
 
+# success_table.csv holds one SuccessRow per line, its fields in order;
+# floats are written with repr(), which round-trips them exactly
+CSV_COLUMNS = [f.name for f in fields(SuccessRow)]
+
+
 @dataclass
 class SuccessTable:
     rows: list
@@ -165,21 +167,18 @@ class SuccessTable:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for r in self.rows:
-            writer.writerow([r.ell, r.m, r.M, r.B, r.S, r.successes,
-                             repr(r.pi_hat), r.ensemble, r.coeffset, r.seed])
+            writer.writerow([repr(v) if isinstance(v, float) else v
+                             for v in astuple(r)])
 
     @classmethod
     def from_csv(cls, fh):
-        reader = csv.DictReader(fh)
-        rows = []
-        for rec in reader:
-            rows.append(SuccessRow(
-                ell=int(rec["ell"]), m=int(rec["m"]), M=int(rec["M"]),
-                B=int(rec["B"]), S=int(rec["S"]),
-                successes=int(rec["successes"]),
-                pi_hat=float(rec["pi_hat"]), ensemble=rec["ensemble"],
-                coeffset=rec["coeffset"], seed=int(rec["seed"])))
-        return cls(rows)
+        reader = csv.DictReader(fh, restval="")
+        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"success table lacks the columns {missing}")
+        return cls([SuccessRow(**{f.name: f.type(rec[f.name])
+                                  for f in fields(SuccessRow)})
+                    for rec in reader])
 
 
 def _build_matrix(config, rng):

@@ -38,14 +38,13 @@ class OracleResult:
     residual: float  # ||A x - y||_2 of the returned x
 
 
-def lp_oracle(A, y, coeff_set, engine=None):
+def lp_oracle(A, y, coeff_set):
     """Optimal value and a solution of (P_1,X) for a dense real matrix A.
 
     `A` and `y` are in real representation (ambient-2 pair columns for
-    COMPLEX).  Guarded to at most 64 coefficients.  `engine` forces
-    "highs" or "barrier" (default: highs for LPs, barrier for COMPLEX).
-    Raises RuntimeError if the returned point violates A x = y by more than
-    RESIDUAL_CERT * (1 + ||y||_2).
+    COMPLEX).  Guarded to at most 64 coefficients.  HiGHS solves the real
+    sets and the barrier engine COMPLEX.  Raises RuntimeError if the
+    returned point violates A x = y by more than RESIDUAL_CERT * (1 + ||y||_2).
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -53,12 +52,10 @@ def lp_oracle(A, y, coeff_set, engine=None):
     if n_coeffs > ORACLE_DIM_LIMIT:
         raise ValueError(f"oracle guard: {n_coeffs} coefficients exceeds the "
                          f"desk-scale limit {ORACLE_DIM_LIMIT}")
-    if engine is None:
-        engine = "barrier" if coeff_set is CoeffSet.COMPLEX else "highs"
-    if engine == "barrier":
-        res = socp_min_l1x(A, y, coeff_set)
+    if coeff_set is CoeffSet.COMPLEX:
+        engine, res = "barrier", socp_min_l1x(A, y, coeff_set)
     else:
-        res = _lp_highs(A, y, coeff_set)
+        engine, res = "highs", _lp_highs(A, y, coeff_set)
     cert = RESIDUAL_CERT * (1.0 + np.linalg.norm(y))
     if res.residual > cert:
         raise RuntimeError(f"{engine} oracle: residual ||Ax - y|| "
@@ -73,31 +70,20 @@ def _result(A, y, value, x):
 
 
 def _lp_highs(A, y, coeff_set):
+    """HiGHS on the LP form of (P_1,X): REAL splits x into its positive and
+    negative parts, NONNEG and BOX01 bound x directly."""
     from scipy.optimize import linprog
-    m, N = A.shape
+    N = A.shape[1]
     if coeff_set is CoeffSet.REAL:
-        res = linprog(np.ones(2 * N), A_eq=np.hstack([A, -A]), b_eq=y,
-                      bounds=(0, None), method="highs")
-        _check(res)
-        x = res.x[:N] - res.x[N:]
-    elif coeff_set is CoeffSet.NONNEG:
-        res = linprog(np.ones(N), A_eq=A, b_eq=y, bounds=(0, None),
-                      method="highs")
-        _check(res)
-        x = res.x
-    elif coeff_set is CoeffSet.BOX01:
-        res = linprog(np.ones(N), A_eq=A, b_eq=y, bounds=(0, 1),
-                      method="highs")
-        _check(res)
-        x = res.x
+        A_eq, bounds = np.hstack([A, -A]), (0, None)
     else:
-        raise ValueError("HiGHS path handles the real coefficient sets only")
-    return _result(A, y, float(res.fun), x)
-
-
-def _check(res):
+        A_eq, bounds = A, (0, 1 if coeff_set is CoeffSet.BOX01 else None)
+    res = linprog(np.ones(A_eq.shape[1]), A_eq=A_eq, b_eq=y, bounds=bounds,
+                  method="highs")
     if not res.success:
         raise RuntimeError(f"LP oracle failed: {res.message}")
+    x = res.x[:N] - res.x[N:] if coeff_set is CoeffSet.REAL else res.x
+    return _result(A, y, float(res.fun), x)
 
 
 # ---------------------------------------------------------------------------

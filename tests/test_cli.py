@@ -28,6 +28,18 @@ def test_exactprob_table(capsys):
     assert "ell* = 2" in err
 
 
+def test_exactprob_without_finite_transition(capsys):
+    # Q_mb(0) = (15/16)^B is already below 1 - 1/e: the table is still
+    # written, and stderr says there is no transition
+    code, out, err = run_cli(capsys, "exactprob", "--M", "8", "--m", "6",
+                             "--B", "100000")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["ell"] for r in rows] == [str(ell) for ell in range(9)]
+    assert float(rows[0]["q_sb"]) == 1.0 - 1.0 / 16.0
+    assert err.startswith("# no finite transition")
+
+
 def test_predict_complex_offset(capsys, tmp_path):
     out_file = tmp_path / "pred.csv"
     code, _, _ = run_cli(capsys, "predict", "--coeffset", "C", "--M", "192",
@@ -368,6 +380,30 @@ def test_fit_refuses_rising_success_rate(capsys, tmp_path):
     assert "# fit failed at (m=4, M=8, B=2)" in err
     assert "negative" in err
     assert fit_out.read_text() == "m,M,B,delta,eps_star,se\n"
+
+
+def test_fit_table_missing_a_column_is_refused(capsys, tmp_path):
+    rows = [SuccessRow(ell, 4, 8, 2, 40, s, s / 40, "dbuse", "real", 3)
+            for ell, s in enumerate([40, 38, 30, 15, 5, 0])]
+    buf = io.StringIO()
+    SuccessTable(rows).to_csv(buf)
+    table = tmp_path / "table.csv"
+    with open(table, "w", newline="") as fh:
+        for rec in csv.reader(io.StringIO(buf.getvalue())):
+            fh.write(",".join(rec[:-1]) + "\n")  # drop the seed column
+    fit_out = tmp_path / "fit.csv"
+    code, out, err = run_cli(capsys, "fit", "--input", str(table),
+                             "-o", str(fit_out))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "['seed']" in err
+    assert not fit_out.exists()
+    # a row shorter than the header is refused the same way
+    with open(table, "w", newline="") as fh:
+        fh.write(buf.getvalue().splitlines()[0] + "\n1,4,8,2,40,38\n")
+    code, out, err = run_cli(capsys, "fit", "--input", str(table),
+                             "-o", str(fit_out))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert not fit_out.exists()
 
 
 def test_test_subcommand_json(capsys):

@@ -1,8 +1,8 @@
 import math
 
-import numpy as np
 import pytest
 
+import ptlab.exactprob as ep
 from ptlab.exactprob import (Q_STAR_MULTI, binom_tail, continuum_ell0,
                              critical_ell, default_q_star, normal_approx,
                              q_mb_exact, q_sb_exact, tail_decay_check,
@@ -44,17 +44,24 @@ def test_binom_tail_validates():
         binom_tail(0, 0)
 
 
-def test_binom_tail_log_path_matches_exact():
-    import ptlab.exactprob as ep
-    for (k, n) in ((3, 40), (10, 128), (64, 300), (200, 1000)):
-        exact = binom_tail(k, n)
-        j = np.arange(k)
-        from scipy.special import gammaln
-        logs = gammaln(n) - gammaln(j + 1) - gammaln(n - j) \
-            - (n - 1) * math.log(2.0)
-        shift = logs.max()
-        approx = math.exp(shift) * math.fsum(np.exp(np.sort(logs - shift)))
-        assert exact == pytest.approx(approx, rel=1e-12)
+def test_binom_tail_log_path_matches_exact(monkeypatch):
+    # the path binom_tail takes beyond n = 5000, run where the exact
+    # integer sum is cheap
+    pairs = ((3, 40), (10, 128), (64, 300), (200, 1000))
+    exact = [binom_tail(k, n) for k, n in pairs]
+    monkeypatch.setattr(ep, "_EXACT_N_LIMIT", 0)
+    for (k, n), want in zip(pairs, exact):
+        assert binom_tail(k, n) == pytest.approx(want, rel=1e-12)
+
+
+def test_binom_tail_large_n_against_exact_sum():
+    # beyond n = 5000 binom_tail leaves integer arithmetic
+    for n in (5001, 6000):
+        exact = binom_row(n, n // 2 + 1)
+        for k in (1, 2, 7, 40, n // 2 - 60, n // 2 - 1, n // 2, n // 2 + 1):
+            assert binom_tail(k, n) == pytest.approx(exact[k], rel=1e-12)
+    n = 10 ** 6
+    assert 0.0 < binom_tail(n // 2 - 1000, n) < 1.0
 
 
 def test_binom_tail_monotone_in_k():

@@ -14,6 +14,7 @@ from ptlab.coeffsets import CoeffSet
 from ptlab.exactprob import q_sb_exact
 from ptlab.experiments import (ExperimentConfig, SuccessTable, run_phase_grid,
                                run_trials, summarize)
+from ptlab.oracle import RESIDUAL_CERT
 from ptlab.predict import predict_pt
 from ptlab.solver import DEFAULT_OPTIONS, state_bytes
 
@@ -295,26 +296,35 @@ GUARD_SCRIPT = """
 import json, sys
 import numpy as np
 import ptlab, ptlab.cli
-from ptlab import CoeffSet, ExperimentConfig, Link, fit_quantal, run_trials
-records = run_trials(ExperimentConfig.from_dict(
+from ptlab import (CoeffSet, ExperimentConfig, Link, fit_quantal,
+                   run_phase_grid, run_trials)
+from ptlab.oracle import socp_min_l1x
+config = ExperimentConfig.from_dict(
     {"ensemble": "dbuse", "coeffset": "real", "ell": 1, "m": 3, "M": 5,
-     "B": 2, "S": 6, "master_seed": 9}))
+     "B": 2, "S": 6, "master_seed": 9})
+records = run_trials(config)
+table = run_phase_grid(ExperimentConfig.from_dict(dict(config.to_dict(), S=2)))
 fit = fit_quantal([(0.1, 40, 38), (0.2, 40, 25), (0.3, 40, 4)], Link.CLL)
+preds = {cs.value: repr(ptlab.predict_pt(18, 24, 24, cs).eps_bd_second)
+         for cs in CoeffSet}
 before = sorted(m for m in sys.modules if m.startswith("scipy"))
-pred = ptlab.predict_pt(12, 24, 24, CoeffSet.COMPLEX)
 A = np.random.default_rng(3).standard_normal((6, 10))
 y = A @ np.r_[1.5, -2.0, np.zeros(8)]
-values = [ptlab.lp_oracle(A, y, CoeffSet.REAL, engine).value
-          for engine in ("highs", "barrier")]
+barrier = socp_min_l1x(A, y, CoeffSet.REAL)
 print(json.dumps({"trials": len(records), "fit": fit.eps_star,
-                  "scipy_before": before, "eps_bd": repr(pred.eps_bd_second),
-                  "values": values}))
+                  "cells": [r.ell for r in table.rows],
+                  "scipy_before": before, "preds": preds,
+                  "values": [ptlab.lp_oracle(A, y, CoeffSet.REAL).value,
+                             barrier.value],
+                  "barrier_residual": barrier.residual, "y_norm":
+                  float(np.linalg.norm(y))}))
 """
 
 
 def test_campaign_loads_no_scipy(tmp_path):
-    """import ptlab, a campaign and a CLL fit use NumPy only; SciPy loads
-    when a prediction or the oracle first needs it."""
+    """import ptlab, a campaign, a grid on its default window, a prediction
+    for every set and a CLL fit use NumPy only; SciPy loads when the oracle
+    first needs it."""
     src = os.path.dirname(os.path.dirname(experiments.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -324,7 +334,12 @@ def test_campaign_loads_no_scipy(tmp_path):
     result = json.loads(out.stdout)
     assert result["scipy_before"] == []
     assert result["trials"] == 6 and 0.1 < result["fit"] < 0.3
-    assert result["eps_bd"] == repr(
-        predict_pt(12, 24, 24, CoeffSet.COMPLEX).eps_bd_second)
+    assert result["cells"] == experiments.default_window(3, 5, 2,
+                                                         CoeffSet.REAL)
+    assert result["preds"] == {
+        cs.value: repr(predict_pt(18, 24, 24, cs).eps_bd_second)
+        for cs in CoeffSet}
     assert result["values"][0] == pytest.approx(3.5, abs=1e-8)
+    assert result["barrier_residual"] <= \
+        RESIDUAL_CERT * (1.0 + result["y_norm"])
     assert result["values"][1] == pytest.approx(result["values"][0], abs=1e-8)

@@ -174,7 +174,7 @@ def test_barrier_engine_agrees_with_highs_on_real():
     for _ in range(25):
         A, x0 = random_instance(rng, CoeffSet.REAL)
         y = A @ x0.values
-        v_highs = lp_oracle(A, y, CoeffSet.REAL, engine="highs").value
+        v_highs = lp_oracle(A, y, CoeffSet.REAL).value
         bar = socp_min_l1x(A, y, CoeffSet.REAL)
         assert bar.residual <= RESIDUAL_CERT * (1.0 + np.linalg.norm(y))
         worst = max(worst, abs(v_highs - bar.value))
