@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Every run that produces artifacts also writes a manifest (config, seed,
-worker count, package version, timestamp) next to them; re-running a
-manifest's config reproduces the result CSVs byte for byte, at any --jobs.
+worker count, package version, environment, timestamp) next to them;
+re-running a manifest's config reproduces the result CSVs byte for byte, at
+any --jobs.
 Numeric CSV fields are written with repr(), which round-trips doubles
 exactly.
 """
@@ -54,9 +55,42 @@ def _output(path):
         yield fh
 
 
+def _scipy_version():
+    """SciPy's version, from the name of the dist-info directory beside the
+    package `import scipy` would load (PEP 627: scipy-<version>.dist-info).
+    This loads neither SciPy nor importlib.metadata, whose email parser
+    alone adds 1 MB to a process that may fork pool workers afterwards."""
+    import glob
+    import importlib.util
+
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        return None
+    site = os.path.dirname(spec.submodule_search_locations[0])
+    found = glob.glob(os.path.join(glob.escape(site), "scipy-*.dist-info"))
+    if not found:
+        return None
+    return os.path.basename(found[0])[len("scipy-"):-len(".dist-info")]
+
+
+def _environment():
+    """The interpreter, the NumPy/SciPy/BLAS builds and the usable cores."""
+    import platform
+
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": _scipy_version(), "blas": blas.get("name"),
+            "blas_version": blas.get("version"), "cores": cores}
+
+
 def _write_manifest(outdir, command, payload, seed, jobs):
     manifest = {"command": command, "config": payload, "master_seed": seed,
                 "jobs": jobs, "version": __version__,
+                "environment": _environment(),
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
     with _atomic_artifact(outdir, "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -79,6 +113,8 @@ def _positive_int(text):
 
 
 def cmd_exactprob(args):
+    if not 1 <= args.m <= args.M:
+        raise ValueError(f"need 1 <= m <= M, got m={args.m}, M={args.M}")
     rows = []
     q_star = args.qstar if args.qstar is not None else default_q_star(args.B)
     if not 0.0 < q_star < 1.0:
@@ -221,7 +257,8 @@ def build_parser():
     p.add_argument("--coeffset", required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--B", type=int, required=True)
-    p.add_argument("--delta", type=float, nargs="+", required=True)
+    p.add_argument("--delta", type=float, nargs="+", action="extend",
+                   required=True)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_predict)
 

@@ -72,6 +72,11 @@ class ExperimentConfig:
                 raise ValueError(f"K has {len(self.K)} entries, but "
                                  f"m = {self.m}")
             object.__setattr__(self, "K", tuple(int(k) for k in self.K))
+        if self.B < 1:
+            raise ValueError(f"B must be at least 1, got {self.B}")
+        if not 1 <= self.m <= self.M:
+            raise ValueError(f"need 1 <= m <= M, got m={self.m}, "
+                             f"M={self.M}")
 
     @property
     def solver(self):

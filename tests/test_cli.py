@@ -1,7 +1,9 @@
 import csv
+import importlib.metadata
 import io
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -81,6 +83,26 @@ def test_predict_bad_input_writes_nothing(capsys, tmp_path):
         assert not out_file.exists()
 
 
+def test_exactprob_refuses_bad_sizes(capsys, tmp_path):
+    out_file = tmp_path / "exact.csv"
+    for M, m in (("-3", "2"), ("8", "9"), ("8", "0"), ("0", "1")):
+        argv = ["exactprob", "--M", M, "--m", m]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: need 1 <= m <= M, got m={m}, M={M}\n"
+        assert run_cli(capsys, *argv, "-o", str(out_file))[0] == 2
+        assert not out_file.exists()
+
+
+def test_predict_repeated_delta_flag_extends_the_list(capsys):
+    argv = ["predict", "--coeffset", "real", "--M", "24", "--B", "24"]
+    code, out, _ = run_cli(capsys, *argv, "--delta", "0.5", "--delta", "0.6")
+    assert code == 0
+    assert [r["delta"] for r in csv.DictReader(io.StringIO(out))] == \
+        ["0.5", "0.6"]
+    assert run_cli(capsys, *argv, "--delta", "0.5", "0.6")[1] == out
+
+
 def test_exactprob_qstar_outside_unit_interval_is_refused(capsys, tmp_path):
     out_file = tmp_path / "exact.csv"
     for q_star in ("1.5", "1", "0", "-0.2", "nan"):
@@ -136,6 +158,21 @@ def test_trials_reproducible_artifacts(capsys, tmp_path):
     assert man_a == man_b
 
 
+def test_manifest_records_environment(capsys, tmp_path):
+    path = trial_config(tmp_path)
+    assert run_cli(capsys, "trials", "--config", str(path),
+                   "-o", str(tmp_path / "a"), "--jobs", "1")[0] == 0
+    env = json.loads((tmp_path / "a" / "manifest.json").read_text())[
+        "environment"]
+    assert set(env) == {"python", "numpy", "scipy", "blas", "blas_version",
+                        "cores"}
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["scipy"] == importlib.metadata.version("scipy")
+    assert isinstance(env["blas"], str) and isinstance(env["blas_version"], str)
+    assert 1 <= env["cores"] <= os.cpu_count()
+
+
 def test_trials_csv_numbers_round_trip(capsys, tmp_path):
     path = trial_config(tmp_path)
     run_cli(capsys, "trials", "--config", str(path), "-o", str(tmp_path / "a"), "--jobs", "1")
@@ -186,6 +223,21 @@ def test_config_value_errors_exit_2(capsys, tmp_path):
         assert code == 2
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+def test_config_size_errors_exit_2(capsys, tmp_path):
+    cfg = json.loads(trial_config(tmp_path).read_text())   # dbuse 3x5, B=2
+    path = tmp_path / "bad.json"
+    for bad, message in ((dict(cfg, B=0), "B must be at least 1, got 0"),
+                         (dict(cfg, m=9, M=8), "need 1 <= m <= M, got m=9, M=8"),
+                         (dict(cfg, m=0), "need 1 <= m <= M, got m=0, M=5")):
+        path.write_text(json.dumps(bad))
+        for command in ("trials", "grid"):
+            code, out, err = run_cli(capsys, command, "--config", str(path),
+                                     "-o", str(tmp_path / "out"), "--jobs", "1")
+            assert code == 2 and out == ""
+            assert err == f"error: {message}\n"
+            assert not (tmp_path / "out").exists()
 
 
 def test_grid_default_window_at_one_block(capsys, tmp_path):

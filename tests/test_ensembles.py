@@ -1,7 +1,12 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from ptlab import ensembles
 from ptlab.coeffsets import CoeffSet, count_free
 from ptlab.ensembles import (DFT_SIGN, MeasurementOperator, ProblemSizes,
                              aniso_sampler_2d, dbuse, general_position_rows,
@@ -11,6 +16,9 @@ from ptlab.ensembles import (DFT_SIGN, MeasurementOperator, ProblemSizes,
                              rbuse, real_dft_matrix, real_rep_matrix,
                              sample_signal, sample_use)
 from ptlab.seeds import stream
+
+# general_position_rows(17, 13, seed=7): the rows of criterion 1's block
+CRITERION1_ROWS = [0, 1, 3, 4, 5, 6, 7, 8, 10, 11, 14, 15, 16]
 
 
 def test_problem_sizes_derived():
@@ -133,6 +141,60 @@ def test_general_position_rows_search():
     rows = general_position_rows(17, 13, seed=5)
     blk = partial_real_dft_block(17, rows)
     assert min_column_minor(blk) > 1e-9
+
+
+def _all_at_once_minor(block):
+    """min_column_minor as one stack of every minor and one det call."""
+    m, M = block.shape
+    sub = np.stack([block[:, c] for c in itertools.combinations(range(M), m)])
+    return float(np.abs(np.linalg.det(sub)).min())
+
+
+@pytest.mark.parametrize("block", [
+    partial_real_dft_block(17, CRITERION1_ROWS),
+    partial_dft_block(7, [0, 1, 3]),
+    np.random.default_rng(4).standard_normal((8, 12))],
+    ids=["real_dft_17x13", "dft_7x3", "random_8x12"])
+def test_min_column_minor_batches_match_one_stack(block, monkeypatch):
+    m, M = block.shape
+    count = math.comb(M, m)
+    want = _all_at_once_minor(block)
+    assert min_column_minor(block) == want     # the default batch size
+    minor_bytes = m * m * block.itemsize
+    # one minor a batch; a last batch of one; exactly one batch; one
+    # batch with room to spare
+    for per_batch in (1, count - 1, count, count + 1):
+        monkeypatch.setattr(ensembles, "MINOR_BATCH_BYTES",
+                            per_batch * minor_bytes)
+        assert min_column_minor(block) == want
+
+
+def test_min_column_minor_edge_shapes():
+    square = np.random.default_rng(2).standard_normal((5, 5))
+    assert min_column_minor(square) == abs(np.linalg.det(square))
+    singular = partial_dft_block(7, [0, 1, 3])
+    singular[:, 4] = 0.0
+    assert min_column_minor(singular) == 0.0
+    for shape in ((4, 3), (0, 3)):
+        with pytest.raises(ValueError, match="need 1 <= m <= M"):
+            min_column_minor(np.ones(shape))
+
+
+def test_min_column_minor_memory_bounded():
+    # C(23, 17) = 100,947 minors: one stack of all of them is ~230 MB
+    block = np.random.default_rng(5).standard_normal((17, 23))
+    tracemalloc.start()
+    try:
+        min_column_minor(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_general_position_rows_criterion1_pinned():
+    rows = general_position_rows(17, 13, seed=7)
+    assert rows.tolist() == CRITERION1_ROWS
 
 
 def test_aniso_full_rows_is_unitary_2d_dft():
