@@ -4,8 +4,8 @@ Every run that produces artifacts also writes a manifest (config, seed,
 worker count, package version, environment, timestamp) next to them;
 re-running a manifest's config reproduces the result CSVs byte for byte, at
 any --jobs.
-Numeric CSV fields are written with repr(), which round-trips doubles
-exactly.
+CSV floats are written by csv as str(), the shortest form that reads back
+to the same double.
 """
 
 import argparse
@@ -99,10 +99,7 @@ def _write_manifest(outdir, command, payload, seed, jobs):
 def _load_config(args):
     with open(args.config) as fh:
         raw = json.load(fh)
-    config = ExperimentConfig.from_dict(raw)
-    if config.S < 1:
-        raise ValueError(f"a campaign needs S >= 1 trials, got {config.S}")
-    return config, raw
+    return ExperimentConfig.from_dict(raw), raw
 
 
 def _positive_int(text):
@@ -126,7 +123,7 @@ def cmd_exactprob(args):
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["ell", "q_sb", "q_mb"])
         for ell, qs, qm in rows:
-            w.writerow([ell, repr(qs), repr(qm)])
+            w.writerow([ell, qs, qm])
     try:
         crit = critical_ell(args.m, args.M, args.B, q_star)
         print(f"# ell* = {crit.ell_star} (eps* = {repr(crit.eps_star)}, "
@@ -146,9 +143,8 @@ def cmd_predict(args):
                     "rel_offset_first", "rel_offset_second", "gamma",
                     "extrapolated"])
         for delta, p in rows:
-            w.writerow([repr(delta), repr(p.eps_asy), repr(p.eps_bd_first),
-                        repr(p.eps_bd_second), repr(p.rel_offset_first),
-                        repr(p.rel_offset_second), repr(p.gamma),
+            w.writerow([delta, p.eps_asy, p.eps_bd_first, p.eps_bd_second,
+                        p.rel_offset_first, p.rel_offset_second, p.gamma,
                         p.extrapolated])
     return 0
 
@@ -169,7 +165,7 @@ def cmd_trials(args):
         for r in records:
             w.writerow([r.trial_index, r.sizes.ell, r.sizes.m, r.sizes.M,
                         r.sizes.B, r.ensemble_id, r.coeff_set.value,
-                        r.master_seed, repr(r.rel_error), int(r.success),
+                        r.master_seed, r.rel_error, int(r.success),
                         r.solver_status, r.iterations])
     row = summarize(config, records)
     with _atomic_artifact(args.outdir, "success_table.csv") as fh:
@@ -214,8 +210,7 @@ def cmd_fit(args):
                       file=sys.stderr)
                 status = 1
                 continue
-            w.writerow([m, M, B, repr(m / M), repr(eps_star),
-                        repr(fit.se_eps_star)])
+            w.writerow([m, M, B, m / M, eps_star, fit.se_eps_star])
     return status
 
 
@@ -302,7 +297,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

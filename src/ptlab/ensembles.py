@@ -47,7 +47,7 @@ class ProblemSizes:
         if not (1 <= self.m <= self.M):
             raise ValueError(f"need 1 <= m <= M, got m={self.m}, M={self.M}")
         if self.B < 1:
-            raise ValueError("need B >= 1")
+            raise ValueError(f"B must be at least 1, got {self.B}")
 
     @property
     def k(self):

@@ -11,9 +11,8 @@ identical regardless of worker count, chunking or execution order.
 import csv
 import functools
 import itertools
-import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -37,11 +36,11 @@ SINGLE_BLOCK_M_LIMIT = 1024
 # at the multiblock guard needs ~130 MB).
 CHUNK_STATE_BYTES = 4 * 2 ** 20
 
-# the keys of a config file: to_dict's, plus the jobs and solver keys older
-# manifests carry (both ignored) and the ell_values list a grid run sweeps
+# the keys of a config file: to_dict's, plus the ell_values list a grid
+# run sweeps
 CONFIG_REQUIRED = ("ensemble", "coeffset", "ell", "m", "M", "B", "S",
                    "master_seed")
-CONFIG_OPTIONAL = ("matrix_policy", "K", "jobs", "solver", "ell_values")
+CONFIG_OPTIONAL = ("matrix_policy", "K", "ell_values")
 
 
 @dataclass(frozen=True)
@@ -58,12 +57,14 @@ class ExperimentConfig:
     K: tuple = None                # frequencies/rows for the DFT ensembles
 
     def __post_init__(self):
+        """Every rule a campaign must meet, checked once, before any trial
+        runs."""
         if self.matrix_policy not in ("fresh", "fixed"):
             raise ValueError("matrix_policy must be 'fresh' or 'fixed'")
         if self.ensemble not in ("rbuse", "dbuse", "rbpft", "rb_real_dft"):
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        if self.S < 0:
-            raise ValueError(f"S must be at least 0, got {self.S}")
+        if self.S < 1:
+            raise ValueError(f"a campaign needs S >= 1 trials, got {self.S}")
         if self.K is not None:
             if self.ensemble not in ("rbpft", "rb_real_dft"):
                 raise ValueError(f"K picks the rows of a DFT ensemble; "
@@ -72,21 +73,21 @@ class ExperimentConfig:
                 raise ValueError(f"K has {len(self.K)} entries, but "
                                  f"m = {self.m}")
             object.__setattr__(self, "K", tuple(int(k) for k in self.K))
-        if self.B < 1:
-            raise ValueError(f"B must be at least 1, got {self.B}")
-        if not 1 <= self.m <= self.M:
-            raise ValueError(f"need 1 <= m <= M, got m={self.m}, "
-                             f"M={self.M}")
+        # ProblemSizes refuses an ell outside 0..M, an m outside 1..M and B < 1
+        object.__setattr__(self, "sizes",
+                           ProblemSizes(self.ell, self.m, self.M, self.B))
+        if self.B > 1 and self.B * self.M > MULTIBLOCK_N_LIMIT:
+            raise ValueError(f"desk-scale guard: multiblock N = B*M = "
+                             f"{self.B * self.M} exceeds {MULTIBLOCK_N_LIMIT}")
+        if self.B == 1 and self.M > SINGLE_BLOCK_M_LIMIT:
+            raise ValueError(f"desk-scale guard: single-block M = {self.M} "
+                             f"exceeds {SINGLE_BLOCK_M_LIMIT}")
 
     @property
     def solver(self):
         """Always solver.DEFAULT_OPTIONS, since the settings are fixed; kept
         for callers that pass a config's settings to solve_p1."""
         return DEFAULT_OPTIONS
-
-    @property
-    def sizes(self):
-        return ProblemSizes(self.ell, self.m, self.M, self.B)
 
     @property
     def field_name(self):
@@ -101,21 +102,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError(f"a config is a JSON object, got "
+                             f"{type(d).__name__}")
         missing = [k for k in CONFIG_REQUIRED if k not in d]
         unknown = sorted(set(d) - set(CONFIG_REQUIRED + CONFIG_OPTIONAL))
         if missing or unknown:
             raise ValueError(f"config keys: missing {missing}, "
                              f"unknown {unknown}")
-        sov = dict(d.get("solver") or {})   # older manifests carry one
-        if "obj_tol" in sov:
-            del sov["obj_tol"]
-            warnings.warn("solver option obj_tol is no longer used; ignored")
-        fixed = asdict(DEFAULT_OPTIONS)
-        changed = {k: v for k, v in sov.items()
-                   if k not in fixed or fixed[k] != v}
-        if changed:
-            raise ValueError(f"solver settings are fixed (ptlab.solver."
-                             f"DEFAULT_OPTIONS); the config sets {changed}")
         return cls(ensemble=d["ensemble"],
                    coeff_set=parse_coeffset(d["coeffset"]),
                    ell=int(d["ell"]), m=int(d["m"]), M=int(d["M"]),
@@ -160,7 +154,7 @@ class SuccessRow:
 
 
 # success_table.csv holds one SuccessRow per line, its fields in order;
-# floats are written with repr(), which round-trips them exactly
+# csv writes a float as str(), its shortest form that reads back exactly
 CSV_COLUMNS = [f.name for f in fields(SuccessRow)]
 
 
@@ -171,9 +165,7 @@ class SuccessTable:
     def to_csv(self, fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for r in self.rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in astuple(r)])
+        writer.writerows(astuple(r) for r in self.rows)
 
     @classmethod
     def from_csv(cls, fh):
@@ -235,22 +227,11 @@ def run_chunk(config, start, stop):
             for t, x0, res in zip(range(start, stop), x0s, results)]
 
 
-def _guard(config):
-    if config.B > 1 and config.B * config.M > MULTIBLOCK_N_LIMIT:
-        raise ValueError(f"desk-scale guard: multiblock N = B*M = "
-                         f"{config.B * config.M} exceeds {MULTIBLOCK_N_LIMIT}")
-    if config.B == 1 and config.M > SINGLE_BLOCK_M_LIMIT:
-        raise ValueError(f"desk-scale guard: single-block M = {config.M} "
-                         f"exceeds {SINGLE_BLOCK_M_LIMIT}")
-
-
 def _chunks(cell, jobs):
     """(start, stop) of each kernel call for the cell's trials: runs of
     at most ceil(S / jobs) consecutive trials, so that each of `jobs`
     workers gets one, and shorter where the kernel state of trial 0's
     operator says a run would outgrow CHUNK_STATE_BYTES."""
-    if cell.S == 0:
-        return []
     op = _trial_operator(cell, 0)
     B, _, c = op.real_block_stack(cell.coeff_set).shape
     size = max(1, min(CHUNK_STATE_BYTES // state_bytes(B, c, op.shared),
@@ -267,8 +248,6 @@ def _run_cells(cells, jobs):
     take up the chunks that follow it, whatever their cell.  Returns one
     record list per cell, in trial order.
     """
-    for cell in cells:
-        _guard(cell)
     work = [(cell, a, b) for cell in cells for a, b in _chunks(cell, jobs)]
     configs, starts, stops = zip(*work) if work else ((), (), ())
     if jobs > 1 and len(work) > 1:
@@ -290,7 +269,7 @@ def summarize(config, records):
     succ = sum(r.success for r in records)
     return SuccessRow(ell=config.ell, m=config.m, M=config.M, B=config.B,
                       S=len(records), successes=succ,
-                      pi_hat=succ / len(records) if records else 0.0,
+                      pi_hat=succ / len(records),
                       ensemble=config.ensemble,
                       coeffset=config.coeff_set.value,
                       seed=config.master_seed)

@@ -84,11 +84,10 @@ def test_criterion_3_equivalence():
 
 
 def test_criterion_4_gram_and_factorization():
-    from ptlab.ensembles import aniso_sampler_2d
     ok = True
     details = []
     for M, K1 in ((4, (0, 2)), (4, (1, 3)), (8, (1, 4, 6)), (8, (0, 2, 5, 7))):
-        g = check_gram_structure(aniso_sampler_2d(M, K1))
+        g = check_gram_structure(M, K1)
         ok &= g.max_offblock < 1e-10
         ok &= g.block_deviation < 1e-12
         ok &= g.block_rank == len(K1)

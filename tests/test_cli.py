@@ -8,7 +8,7 @@ import platform
 import numpy as np
 import pytest
 
-from ptlab import cli
+from ptlab import cli, experiments
 from ptlab.cli import main
 from ptlab.experiments import CSV_COLUMNS, SuccessRow, SuccessTable
 
@@ -132,6 +132,11 @@ def test_guard_violation_exit_code(capsys, tmp_path):
     assert "guard" in err
 
 
+# the block every manifest held while the solver settings were configurable
+MANIFEST_SOLVER_BLOCK = {"tol": 1e-9, "feas_tol": 1e-7, "max_iters": 50000,
+                         "rho": 1.0}
+
+
 def trial_config(tmp_path, seed=9):
     cfg = {"ensemble": "dbuse", "coeffset": "real", "ell": 1, "m": 3,
            "M": 5, "B": 2, "S": 6, "master_seed": seed}
@@ -194,7 +199,14 @@ def test_config_key_errors_exit_2(capsys, tmp_path):
             ("grid", dict(cfg, master_seed=9, ell_value=[0, 1]),
              "ell_value"),
             ("trials", dict(cfg, master_seed=9, ell_values=[0, 1, 2]),
-             "ell_values")):
+             "ell_values"),
+            # older manifests carry these; both are refused as unknown keys
+            ("trials", dict(cfg, master_seed=9, jobs=4), "jobs"),
+            ("grid", dict(cfg, master_seed=9, jobs=4), "jobs"),
+            ("trials", dict(cfg, master_seed=9, solver=MANIFEST_SOLVER_BLOCK),
+             "solver"),
+            ("grid", dict(cfg, master_seed=9, solver=MANIFEST_SOLVER_BLOCK),
+             "solver")):
         path.write_text(json.dumps(bad))
         code, _, err = run_cli(capsys, command, "--config", str(path),
                                "-o", str(tmp_path / "out"), "--jobs", "1")
@@ -207,16 +219,19 @@ def test_config_value_errors_exit_2(capsys, tmp_path):
     cfg = json.loads(trial_config(tmp_path).read_text())   # dbuse, m=3
     path = tmp_path / "bad.json"
     for command, bad, message in (
-            ("trials", dict(cfg, S=0), "S >= 1"),
-            ("grid", dict(cfg, S=0), "S >= 1"),
-            ("grid", dict(cfg, S=-4), "S must be at least 0"),
+            ("trials", dict(cfg, S=0), "S >= 1 trials, got 0"),
+            ("grid", dict(cfg, S=0), "S >= 1 trials, got 0"),
+            ("trials", dict(cfg, S=-4), "S >= 1 trials, got -4"),
+            ("grid", dict(cfg, S=-4), "S >= 1 trials, got -4"),
             ("trials", dict(cfg, ensemble="rbpft", m=5, K=[0, 1, 2]),
              "K has 3 entries, but m = 5"),
             ("trials", dict(cfg, ensemble="rbpft", K=[]),
              "K has 0 entries, but m = 3"),
             ("trials", dict(cfg, K=[0, 1, 2]), "'dbuse' has no use for it"),
             ("grid", dict(cfg, ensemble="rbuse", K=[0, 1, 2]),
-             "'rbuse' has no use for it")):
+             "'rbuse' has no use for it"),
+            ("grid", dict(cfg, ell_values=[0, 6]),
+             "need 0 <= ell <= M, got ell=6, M=5")):
         path.write_text(json.dumps(bad))
         code, _, err = run_cli(capsys, command, "--config", str(path),
                                "-o", str(tmp_path / "out"), "--jobs", "1")
@@ -225,19 +240,50 @@ def test_config_value_errors_exit_2(capsys, tmp_path):
         assert not (tmp_path / "out").exists()
 
 
-def test_config_size_errors_exit_2(capsys, tmp_path):
+def test_config_size_errors_exit_2(capsys, tmp_path, monkeypatch):
+    # refused when the config loads, so no process pool ever starts
+    starts = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
     cfg = json.loads(trial_config(tmp_path).read_text())   # dbuse 3x5, B=2
     path = tmp_path / "bad.json"
     for bad, message in ((dict(cfg, B=0), "B must be at least 1, got 0"),
                          (dict(cfg, m=9, M=8), "need 1 <= m <= M, got m=9, M=8"),
-                         (dict(cfg, m=0), "need 1 <= m <= M, got m=0, M=5")):
+                         (dict(cfg, m=0), "need 1 <= m <= M, got m=0, M=5"),
+                         (dict(cfg, ell=-1), "need 0 <= ell <= M, got ell=-1, M=5"),
+                         (dict(cfg, ell=6), "need 0 <= ell <= M, got ell=6, M=5")):
         path.write_text(json.dumps(bad))
         for command in ("trials", "grid"):
             code, out, err = run_cli(capsys, command, "--config", str(path),
-                                     "-o", str(tmp_path / "out"), "--jobs", "1")
+                                     "-o", str(tmp_path / "out"), "--jobs", "2")
             assert code == 2 and out == ""
             assert err == f"error: {message}\n"
             assert not (tmp_path / "out").exists()
+    assert starts == []
+
+
+def test_unreadable_inputs_exit_2(capsys, tmp_path):
+    not_an_object = tmp_path / "number.json"
+    not_an_object.write_text("42")
+    missing = str(tmp_path / "none.json")
+    campaign = ["-o", str(tmp_path / "out"), "--jobs", "1"]
+    for argv, message in (
+            (["trials", "--config", missing, *campaign], "No such file"),
+            (["grid", "--config", missing, *campaign], "No such file"),
+            (["trials", "--config", str(not_an_object), *campaign],
+             "a config is a JSON object, got int"),
+            (["fit", "--input", str(tmp_path / "none.csv"),
+              "-o", str(tmp_path / "out" / "fit.csv")], "No such file")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_grid_default_window_at_one_block(capsys, tmp_path):
@@ -347,23 +393,6 @@ def test_grid_manifest_reproduces_table(capsys, tmp_path):
     assert manifest["config"]["ell_values"] == [2, 0, 1]
 
 
-MANIFEST_SOLVER_BLOCK = {"tol": 1e-9, "feas_tol": 1e-7, "max_iters": 50000,
-                         "rho": 1.0}
-
-
-def test_grid_default_solver_block_gives_same_table(capsys, tmp_path):
-    cfg = json.loads(grid_config(tmp_path).read_text())
-    with_block = tmp_path / "with_block.json"
-    with_block.write_text(json.dumps(dict(cfg, solver=MANIFEST_SOLVER_BLOCK)))
-    for name, path in (("plain", tmp_path / "grid.json"),
-                       ("block", with_block)):
-        code, _, _ = run_cli(capsys, "grid", "--config", str(path),
-                             "-o", str(tmp_path / name), "--jobs", "1")
-        assert code == 0
-    assert (tmp_path / "plain" / "success_table.csv").read_bytes() == \
-        (tmp_path / "block" / "success_table.csv").read_bytes()
-
-
 def test_grid_rejects_changed_solver_settings(capsys, tmp_path):
     cfg = json.loads(grid_config(tmp_path).read_text())
     path = tmp_path / "changed.json"
@@ -372,7 +401,7 @@ def test_grid_rejects_changed_solver_settings(capsys, tmp_path):
     code, _, err = run_cli(capsys, "grid", "--config", str(path),
                            "-o", str(tmp_path / "out"), "--jobs", "1")
     assert code == 2
-    assert "solver settings are fixed" in err
+    assert "unknown ['solver']" in err
     assert not (tmp_path / "out").exists()
     with pytest.raises(SystemExit) as exc:
         main(["grid", "--config", str(tmp_path / "grid.json"),

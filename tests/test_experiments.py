@@ -11,9 +11,10 @@ import pytest
 
 from ptlab import experiments
 from ptlab.coeffsets import CoeffSet
+from ptlab.ensembles import ProblemSizes
 from ptlab.exactprob import q_sb_exact
-from ptlab.experiments import (ExperimentConfig, SuccessTable, run_phase_grid,
-                               run_trials, summarize)
+from ptlab.experiments import (ExperimentConfig, SuccessRow, SuccessTable,
+                               run_phase_grid, run_trials, summarize)
 from ptlab.oracle import RESIDUAL_CERT
 from ptlab.predict import predict_pt
 from ptlab.solver import DEFAULT_OPTIONS, state_bytes
@@ -27,7 +28,11 @@ def tiny_config(**kw):
 
 
 def test_zero_trials():
-    assert run_trials(tiny_config(S=0)) == []
+    # a campaign of no trials is refused when its config is built
+    with pytest.raises(ValueError,
+                       match="a campaign needs S >= 1 trials, got 0"):
+        ExperimentConfig(ensemble="dbuse", coeff_set=CoeffSet.BOX01, ell=2,
+                         m=3, M=4, B=1, S=0, master_seed=77)
 
 
 def test_determinism_same_seed():
@@ -86,13 +91,29 @@ def test_fixed_matrix_policy_deterministic():
 
 
 def test_multiblock_guard():
-    with pytest.raises(ValueError, match="guard"):
-        run_trials(tiny_config(B=65, M=64, m=32, ell=4))
+    # the guard refuses the config itself, before any trial can run
+    with pytest.raises(ValueError, match="guard: multiblock N = B\\*M = "
+                                         "4160 exceeds 4096"):
+        tiny_config(B=65, M=64, m=32, ell=4)
+    assert tiny_config(B=64, M=64, m=32, ell=4).sizes.N == 4096
 
 
 def test_single_block_guard():
-    with pytest.raises(ValueError, match="guard"):
-        run_trials(tiny_config(ell=2, m=600, M=2000, S=1, master_seed=0))
+    with pytest.raises(ValueError,
+                       match="guard: single-block M = 2000 exceeds 1024"):
+        tiny_config(ell=2, m=600, M=2000, S=1, master_seed=0)
+    assert tiny_config(ell=2, m=600, M=1024, S=1).sizes.M == 1024
+
+
+def test_config_checks_sizes():
+    # ProblemSizes checks the sizes of every config once, when it is built
+    for ell in (-1, 5):
+        with pytest.raises(ValueError,
+                           match=f"need 0 <= ell <= M, got ell={ell}, M=4"):
+            tiny_config(ell=ell)
+    with pytest.raises(ValueError, match="need 0 <= ell <= M"):
+        run_phase_grid(tiny_config(), ell_values=[0, 5])
+    assert tiny_config().sizes == ProblemSizes(2, 3, 4, 1)
 
 
 def test_grid_zero_sparsity_cell_is_certain():
@@ -173,7 +194,6 @@ def test_chunk_size_from_the_operator():
     # with more workers the trials are dealt out evenly first
     assert experiments._chunks(replace(cell, ensemble="rbuse"), 4) == \
         [(0, 15), (15, 30), (30, 45), (45, 60)]
-    assert experiments._chunks(replace(cell, S=0), 2) == []
 
 
 def failure_rate(config):
@@ -211,18 +231,23 @@ def test_success_table_csv_round_trip():
     assert back.rows == table.rows
 
 
+def test_success_table_csv_round_trips_numpy_floats():
+    # csv writes a numpy float as str(), not as its repr np.float64(...)
+    rows = [SuccessRow(3, 4, 8, 2, 3, 1, np.float64(1 / 3), "dbuse", "real",
+                       7),
+            SuccessRow(4, 4, 8, 2, 3, 0, 1e-300, "dbuse", "real", 7)]
+    buf = io.StringIO()
+    SuccessTable(rows).to_csv(buf)
+    assert buf.getvalue().splitlines()[1:] == [
+        "3,4,8,2,3,1,0.3333333333333333,dbuse,real,7",
+        "4,4,8,2,3,0,1e-300,dbuse,real,7"]
+    assert SuccessTable.from_csv(io.StringIO(buf.getvalue())).rows == rows
+
+
 def test_config_dict_round_trip():
     config = tiny_config(ensemble="rbpft", K=(0, 1, 2), matrix_policy="fixed")
     clone = ExperimentConfig.from_dict(config.to_dict())
     assert clone == config
-
-
-def test_config_with_removed_obj_tol_loads_with_warning():
-    config = tiny_config()
-    d = config.to_dict()
-    d["solver"] = {"obj_tol": 1e-7}
-    with pytest.warns(UserWarning, match="obj_tol"):
-        assert ExperimentConfig.from_dict(d) == config
 
 
 # the block every manifest held while the solver settings were configurable
@@ -231,17 +256,15 @@ MANIFEST_SOLVER_BLOCK = {"tol": 1e-9, "feas_tol": 1e-7, "max_iters": 50000,
 
 
 def test_config_solver_settings_are_fixed():
+    # a config has no solver key: even the default block is refused
     config = tiny_config()
     d = config.to_dict()
     assert "solver" not in d
     assert config.solver is DEFAULT_OPTIONS
-    assert ExperimentConfig.from_dict(
-        dict(d, solver=MANIFEST_SOLVER_BLOCK)) == config
-    for changed in ({"max_iters": 10}, {"rho": 2.0}, {"tol": 1e-6},
-                    {"feas_tol": 1e-5}, {"adapt_every": 25}, {"gamma": 1}):
-        with pytest.raises(ValueError, match="solver settings are fixed"):
-            ExperimentConfig.from_dict(
-                dict(d, solver=dict(MANIFEST_SOLVER_BLOCK, **changed)))
+    for block in (MANIFEST_SOLVER_BLOCK, {"obj_tol": 1e-7},
+                  dict(MANIFEST_SOLVER_BLOCK, max_iters=10)):
+        with pytest.raises(ValueError, match=r"unknown \['solver'\]"):
+            ExperimentConfig.from_dict(dict(d, solver=block))
 
 
 def test_config_validation():
@@ -252,8 +275,7 @@ def test_config_validation():
 
 
 def test_config_checks_S_and_K():
-    assert tiny_config(S=0).S == 0
-    with pytest.raises(ValueError, match="S must be at least 0"):
+    with pytest.raises(ValueError, match="S >= 1 trials, got -4"):
         tiny_config(S=-4)
     assert tiny_config(ensemble="rb_real_dft", K=[0, 1, 2]).K == (0, 1, 2)
     with pytest.raises(ValueError, match="K has 3 entries, but m = 5"):
@@ -278,9 +300,13 @@ def test_config_keys_checked():
                          + experiments.CONFIG_OPTIONAL)
     assert ExperimentConfig.from_dict(dict(d, ell_values=[0, 1])) == \
         tiny_config()
-    # older manifests hold the worker count in the config; it is ignored
+    # older manifests hold the worker count in the config; it is refused
     assert "jobs" not in d
-    assert ExperimentConfig.from_dict(dict(d, jobs=4)) == tiny_config()
+    with pytest.raises(ValueError, match=r"missing \[\], unknown \['jobs'\]"):
+        ExperimentConfig.from_dict(dict(d, jobs=4))
+    for not_an_object in (42, [d], "config", None):
+        with pytest.raises(ValueError, match="a config is a JSON object"):
+            ExperimentConfig.from_dict(not_an_object)
     with pytest.raises(ValueError,
                        match=r"missing \['ell', 'S'\], unknown \[\]"):
         ExperimentConfig.from_dict({k: v for k, v in d.items()
