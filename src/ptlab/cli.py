@@ -73,6 +73,15 @@ def _scipy_version():
     return os.path.basename(found[0])[len("scipy-"):-len(".dist-info")]
 
 
+def _usable_cores():
+    """The cores this process may run on: its affinity mask where the
+    platform has one, which taskset or a container may narrow below
+    os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _environment():
     """The interpreter, the NumPy/SciPy/BLAS builds and the usable cores."""
     import platform
@@ -80,11 +89,9 @@ def _environment():
     import numpy as np
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count())
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": _scipy_version(), "blas": blas.get("name"),
-            "blas_version": blas.get("version"), "cores": cores}
+            "blas_version": blas.get("version"), "cores": _usable_cores()}
 
 
 def _write_manifest(outdir, command, payload, seed, jobs):
@@ -98,8 +105,7 @@ def _write_manifest(outdir, command, payload, seed, jobs):
 
 def _load_config(args):
     with open(args.config) as fh:
-        raw = json.load(fh)
-    return ExperimentConfig.from_dict(raw), raw
+        return ExperimentConfig.from_dict(json.load(fh))
 
 
 def _positive_int(text):
@@ -154,10 +160,7 @@ TRIAL_COLUMNS = ["trial", "ell", "m", "M", "B", "ensemble", "coeffset",
 
 
 def cmd_trials(args):
-    config, raw = _load_config(args)
-    if "ell_values" in raw:
-        raise ValueError("ell_values is a grid key; a trials config runs "
-                         "the one cell at ell")
+    config = _load_config(args)
     records = run_trials(config, jobs=args.jobs)
     with _atomic_artifact(args.outdir, "trials.csv") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -177,9 +180,8 @@ def cmd_trials(args):
 
 
 def cmd_grid(args):
-    config, raw = _load_config(args)
-    ell_values = raw.get("ell_values")
-    table = run_phase_grid(config, ell_values, jobs=args.jobs)
+    config = _load_config(args)
+    table = run_phase_grid(config, jobs=args.jobs)
     with _atomic_artifact(args.outdir, "success_table.csv") as fh:
         table.to_csv(fh)
     # the swept ells, in table order, so the manifest's config reproduces it
@@ -262,8 +264,8 @@ def build_parser():
         p.add_argument("--config", required=True)
         p.add_argument("-o", "--outdir", required=True)
         p.add_argument("--jobs", type=_positive_int,
-                       default=os.cpu_count() or 1,
-                       help="worker processes (default: available cores); "
+                       default=_usable_cores(),
+                       help="worker processes (default: usable cores); "
                             "results never depend on this")
         p.set_defaults(func=fn)
 

@@ -36,8 +36,7 @@ SINGLE_BLOCK_M_LIMIT = 1024
 # at the multiblock guard needs ~130 MB).
 CHUNK_STATE_BYTES = 4 * 2 ** 20
 
-# the keys of a config file: to_dict's, plus the ell_values list a grid
-# run sweeps
+# the keys of a config file, to_dict's
 CONFIG_REQUIRED = ("ensemble", "coeffset", "ell", "m", "M", "B", "S",
                    "master_seed")
 CONFIG_OPTIONAL = ("matrix_policy", "K", "ell_values")
@@ -55,6 +54,7 @@ class ExperimentConfig:
     master_seed: int
     matrix_policy: str = "fresh"   # fresh matrix per trial, or "fixed"
     K: tuple = None                # frequencies/rows for the DFT ensembles
+    ell_values: tuple = None       # a grid's cells; None: default_window
 
     def __post_init__(self):
         """Every rule a campaign must meet, checked once, before any trial
@@ -76,6 +76,15 @@ class ExperimentConfig:
         # ProblemSizes refuses an ell outside 0..M, an m outside 1..M and B < 1
         object.__setattr__(self, "sizes",
                            ProblemSizes(self.ell, self.m, self.M, self.B))
+        if self.ell_values is not None:
+            ells = tuple(int(ell) for ell in self.ell_values)
+            if not ells:
+                raise ValueError("ell_values is empty: a grid needs a cell")
+            if len(set(ells)) < len(ells):
+                raise ValueError(f"ell_values repeats an ell: {list(ells)}")
+            for ell in ells:
+                ProblemSizes(ell, self.m, self.M, self.B)
+            object.__setattr__(self, "ell_values", ells)
         if self.B > 1 and self.B * self.M > MULTIBLOCK_N_LIMIT:
             raise ValueError(f"desk-scale guard: multiblock N = B*M = "
                              f"{self.B * self.M} exceeds {MULTIBLOCK_N_LIMIT}")
@@ -98,7 +107,9 @@ class ExperimentConfig:
                 "ell": self.ell, "m": self.m, "M": self.M, "B": self.B,
                 "S": self.S, "master_seed": self.master_seed,
                 "matrix_policy": self.matrix_policy,
-                "K": list(self.K) if self.K is not None else None}
+                "K": list(self.K) if self.K is not None else None,
+                "ell_values": (list(self.ell_values)
+                               if self.ell_values is not None else None)}
 
     @classmethod
     def from_dict(cls, d):
@@ -110,13 +121,29 @@ class ExperimentConfig:
         if missing or unknown:
             raise ValueError(f"config keys: missing {missing}, "
                              f"unknown {unknown}")
+        for key in ("ell", "m", "M", "B", "S", "master_seed"):
+            _json_int(key, d[key])
+        for key in ("K", "ell_values"):
+            values = d.get(key)
+            if values is not None:
+                if not isinstance(values, list):
+                    raise ValueError(f"config key {key}: {values!r} is not "
+                                     f"a list")
+                for value in values:
+                    _json_int(key, value)
         return cls(ensemble=d["ensemble"],
                    coeff_set=parse_coeffset(d["coeffset"]),
-                   ell=int(d["ell"]), m=int(d["m"]), M=int(d["M"]),
-                   B=int(d["B"]), S=int(d["S"]),
-                   master_seed=int(d["master_seed"]),
+                   ell=d["ell"], m=d["m"], M=d["M"], B=d["B"], S=d["S"],
+                   master_seed=d["master_seed"],
                    matrix_policy=d.get("matrix_policy", "fresh"),
-                   K=d.get("K"))
+                   K=d.get("K"), ell_values=d.get("ell_values"))
+
+
+def _json_int(key, value):
+    """Refuse a config value that is not a JSON integer (true is a Python
+    int, but not one in JSON)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config key {key}: {value!r} is not an integer")
 
 
 @dataclass
@@ -151,6 +178,12 @@ class SuccessRow:
     ensemble: str
     coeffset: str
     seed: int
+
+    def __post_init__(self):
+        if self.S < 1 or not 0 <= self.successes <= self.S:
+            raise ValueError(f"a cell needs S >= 1 and 0 <= successes <= S, "
+                             f"got successes={self.successes}, S={self.S} "
+                             f"at ell={self.ell}")
 
 
 # success_table.csv holds one SuccessRow per line, its fields in order;
@@ -249,7 +282,7 @@ def _run_cells(cells, jobs):
     record list per cell, in trial order.
     """
     work = [(cell, a, b) for cell in cells for a, b in _chunks(cell, jobs)]
-    configs, starts, stops = zip(*work) if work else ((), (), ())
+    configs, starts, stops = zip(*work)
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             chunks = list(pool.map(run_chunk, configs, starts, stops))
@@ -262,6 +295,9 @@ def _run_cells(cells, jobs):
 def run_trials(config, jobs=1):
     """S independent trials over `jobs` worker processes; records returned
     in trial order, the same for any `jobs`."""
+    if config.ell_values is not None:
+        raise ValueError("ell_values is a grid key; a trials config runs "
+                         "the one cell at ell")
     return _run_cells([config], jobs)[0]
 
 
@@ -289,17 +325,17 @@ def default_window(m, M, B, coeff_set):
     return list(range(lo, hi + 1))
 
 
-def run_phase_grid(config, ell_values=None, jobs=1):
-    """Sweep ell at constant S per cell; each cell gets its own derived seed.
-    The trials of all cells share one pool of `jobs` processes (see
-    _run_cells)."""
-    if ell_values is None:
-        ell_values = default_window(config.m, config.M, config.B,
-                                    config.coeff_set)
+def run_phase_grid(config, jobs=1):
+    """Sweep ell over config.ell_values (default_window when None) at
+    constant S per cell; each cell gets its own derived seed.  The trials
+    of all cells share one pool of `jobs` processes (see _run_cells)."""
+    ell_values = config.ell_values or default_window(
+        config.m, config.M, config.B, config.coeff_set)
     cells = []
     for ell in ell_values:
         cell_seed = int(stream(config.master_seed, "cell", ell)
                         .integers(2 ** 62))
-        cells.append(replace(config, ell=int(ell), master_seed=cell_seed))
+        cells.append(replace(config, ell=ell, ell_values=None,
+                             master_seed=cell_seed))
     return SuccessTable(list(map(summarize, cells,
                                  _run_cells(cells, jobs))))

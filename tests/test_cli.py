@@ -256,7 +256,14 @@ def test_config_size_errors_exit_2(capsys, tmp_path, monkeypatch):
                          (dict(cfg, m=9, M=8), "need 1 <= m <= M, got m=9, M=8"),
                          (dict(cfg, m=0), "need 1 <= m <= M, got m=0, M=5"),
                          (dict(cfg, ell=-1), "need 0 <= ell <= M, got ell=-1, M=5"),
-                         (dict(cfg, ell=6), "need 0 <= ell <= M, got ell=6, M=5")):
+                         (dict(cfg, ell=6), "need 0 <= ell <= M, got ell=6, M=5"),
+                         # a grid runs each cell it names exactly once
+                         (dict(cfg, ell_values=[]),
+                          "ell_values is empty: a grid needs a cell"),
+                         (dict(cfg, ell_values=[1, 1, 2, 0]),
+                          "ell_values repeats an ell: [1, 1, 2, 0]"),
+                         (dict(cfg, ell_values=[1.5, 2]),
+                          "config key ell_values: 1.5 is not an integer")):
         path.write_text(json.dumps(bad))
         for command in ("trials", "grid"):
             code, out, err = run_cli(capsys, command, "--config", str(path),
@@ -265,6 +272,42 @@ def test_config_size_errors_exit_2(capsys, tmp_path, monkeypatch):
             assert err == f"error: {message}\n"
             assert not (tmp_path / "out").exists()
     assert starts == []
+
+
+def test_config_values_must_be_json_integers(capsys, tmp_path):
+    # 1.7, true, "4" and null are not JSON integers: each is refused, never
+    # rounded or coerced
+    cfg = json.loads(trial_config(tmp_path).read_text())   # dbuse 3x5, B=2
+    rbpft = dict(cfg, ensemble="rbpft")
+    path = tmp_path / "bad.json"
+    for bad, key in ((dict(cfg, ell=1.7), "ell"),
+                     (dict(cfg, ell=True), "ell"),
+                     (dict(cfg, S="4"), "S"),
+                     (dict(cfg, S=None), "S"),
+                     (dict(cfg, m=3.0), "m"),
+                     (dict(cfg, M=False), "M"),
+                     (dict(cfg, B=[2]), "B"),
+                     (dict(cfg, master_seed=9.5), "master_seed"),
+                     (dict(rbpft, K=[0, 1.0, 2]), "K"),
+                     (dict(rbpft, K=[0, True, 2]), "K"),
+                     (dict(rbpft, K="012"), "K"),
+                     (dict(cfg, ell_values=[1.5, 2]), "ell_values"),
+                     (dict(cfg, ell_values=[0, None]), "ell_values"),
+                     (dict(cfg, ell_values=3), "ell_values")):
+        path.write_text(json.dumps(bad))
+        for command in ("trials", "grid"):
+            code, out, err = run_cli(capsys, command, "--config", str(path),
+                                     "-o", str(tmp_path / "out"),
+                                     "--jobs", "1")
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: config key {key}: ")
+            assert err.count("\n") == 1
+            assert not (tmp_path / "out").exists()
+    # K and ell_values may be null
+    for good in (dict(cfg, K=None), dict(cfg, ell_values=None)):
+        path.write_text(json.dumps(good))
+        assert run_cli(capsys, "trials", "--config", str(path),
+                       "-o", str(tmp_path / "ok"), "--jobs", "1")[0] == 0
 
 
 def test_unreadable_inputs_exit_2(capsys, tmp_path):
@@ -310,8 +353,19 @@ def test_jobs_below_one_is_usage_error(capsys, tmp_path):
             assert exc.value.code == 2
             assert "--jobs" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    assert cli.build_parser().parse_args(
-        ["trials", "--config", "c", "-o", "o"]).jobs == (os.cpu_count() or 1)
+
+
+def test_jobs_default_is_the_usable_cores(monkeypatch):
+    # under taskset the affinity mask, not os.cpu_count(), says how many
+    # cores a campaign may use; the default and the manifest both read it
+    parse = cli.build_parser().parse_args
+    assert parse(["grid", "--config", "c", "-o", "o"]).jobs == \
+        len(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    for command in ("trials", "grid"):
+        assert cli.build_parser().parse_args(
+            [command, "--config", "c", "-o", "o"]).jobs == 1
+    assert cli._environment()["cores"] == 1
 
 
 def test_grid_then_fit_round_trip(capsys, tmp_path):
@@ -391,6 +445,24 @@ def test_grid_manifest_reproduces_table(capsys, tmp_path):
     assert len(table.splitlines()) == 4
     assert (tmp_path / "b" / "success_table.csv").read_bytes() == table
     assert manifest["config"]["ell_values"] == [2, 0, 1]
+    assert experiments.ExperimentConfig.from_dict(
+        manifest["config"]).ell_values == (2, 0, 1)
+
+
+def test_trials_manifest_reruns(capsys, tmp_path):
+    # a trials manifest's config holds "ell_values": null, and reruns
+    path = trial_config(tmp_path)
+    assert run_cli(capsys, "trials", "--config", str(path),
+                   "-o", str(tmp_path / "a"), "--jobs", "1")[0] == 0
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert manifest["config"]["ell_values"] is None
+    rerun = tmp_path / "rerun.json"
+    rerun.write_text(json.dumps(manifest["config"]))
+    assert run_cli(capsys, "trials", "--config", str(rerun),
+                   "-o", str(tmp_path / "b"), "--jobs", "1")[0] == 0
+    for name in ("trials.csv", "success_table.csv"):
+        assert (tmp_path / "b" / name).read_bytes() == \
+            (tmp_path / "a" / name).read_bytes()
 
 
 def test_grid_rejects_changed_solver_settings(capsys, tmp_path):
@@ -461,6 +533,28 @@ def test_fit_refuses_rising_success_rate(capsys, tmp_path):
     assert "# fit failed at (m=4, M=8, B=2)" in err
     assert "negative" in err
     assert fit_out.read_text() == "m,M,B,delta,eps_star,se\n"
+
+
+def test_fit_refuses_impossible_cells(capsys, tmp_path):
+    # no cell has S = 0 trials, nor more successes than trials, nor fewer
+    # than none: the table is refused before any fit, with no -o file
+    header = ",".join(CSV_COLUMNS)
+    good = ["0,4,8,2,6,6,1.0,dbuse,real,3", "1,4,8,2,6,3,0.5,dbuse,real,3"]
+    table = tmp_path / "table.csv"
+    fit_out = tmp_path / "fit.csv"
+    for bad, message in (("2,4,8,2,0,0,0.0,dbuse,real,3",
+                          "got successes=0, S=0 at ell=2"),
+                         ("2,4,8,2,6,9,1.5,dbuse,real,3",
+                          "got successes=9, S=6 at ell=2"),
+                         ("2,4,8,2,6,-1,0.0,dbuse,real,3",
+                          "got successes=-1, S=6 at ell=2")):
+        table.write_text("\n".join([header, *good, bad]) + "\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(table),
+                                 "-o", str(fit_out))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err and "Warning" not in err
+        assert not fit_out.exists()
 
 
 def test_fit_table_missing_a_column_is_refused(capsys, tmp_path):

@@ -112,20 +112,37 @@ def test_config_checks_sizes():
                            match=f"need 0 <= ell <= M, got ell={ell}, M=4"):
             tiny_config(ell=ell)
     with pytest.raises(ValueError, match="need 0 <= ell <= M"):
-        run_phase_grid(tiny_config(), ell_values=[0, 5])
+        tiny_config(ell_values=(0, 5))
     assert tiny_config().sizes == ProblemSizes(2, 3, 4, 1)
 
 
+def test_config_checks_ell_values():
+    # a grid runs each cell it names once: an empty or repeating list is
+    # refused when the config is built (an ell outside 0..M: see above)
+    for ells, message in (((), "ell_values is empty"),
+                          ((2, 2), r"ell_values repeats an ell: \[2, 2\]")):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(ell_values=ells)
+    assert tiny_config(ell_values=[3, 0]).ell_values == (3, 0)
+
+
+def test_trials_refuse_a_grid_config():
+    with pytest.raises(ValueError, match="ell_values is a grid key; a trials "
+                                         "config runs the one cell at ell"):
+        run_trials(tiny_config(ell_values=(0, 1)))
+
+
 def test_grid_zero_sparsity_cell_is_certain():
-    config = tiny_config(S=10, coeff_set=CoeffSet.REAL, M=6, m=3, B=2)
-    table = run_phase_grid(config, ell_values=[0])
+    config = tiny_config(S=10, coeff_set=CoeffSet.REAL, M=6, m=3, B=2,
+                         ell_values=(0,))
+    table = run_phase_grid(config)
     assert table.rows[0].pi_hat == 1.0
 
 
 def test_grid_monotone_within_noise():
     config = tiny_config(S=60, coeff_set=CoeffSet.REAL, M=8, m=4, B=2,
-                         master_seed=21)
-    table = run_phase_grid(config, ell_values=[0, 1, 2, 3, 4])
+                         master_seed=21, ell_values=(0, 1, 2, 3, 4))
+    table = run_phase_grid(config)
     pis = [r.pi_hat for r in table.rows]
     for i in range(len(pis) - 1):
         se = np.sqrt(max(pis[i + 1] * (1 - pis[i + 1]), 0.25 / 60) / 60)
@@ -134,11 +151,10 @@ def test_grid_monotone_within_noise():
 
 def test_grid_same_rows_across_workers():
     config = tiny_config(S=10, coeff_set=CoeffSet.REAL, M=8, m=4, B=2,
-                         master_seed=21)
-    serial = run_phase_grid(config, ell_values=[0, 1, 2, 3, 4])
+                         master_seed=21, ell_values=(0, 1, 2, 3, 4))
+    serial = run_phase_grid(config)
     for jobs in (2, 3):   # 3 workers split each cell into 4, 4 and 2
-        parallel = run_phase_grid(config, ell_values=[0, 1, 2, 3, 4],
-                                  jobs=jobs)
+        parallel = run_phase_grid(config, jobs=jobs)
         assert parallel.rows == serial.rows
 
 
@@ -159,8 +175,8 @@ def test_grid_runs_one_pool_per_campaign(monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(experiments, "summarize", keep_records)
     config = tiny_config(S=6, coeff_set=CoeffSet.REAL, M=8, m=4, B=2,
-                         master_seed=21)
-    run_phase_grid(config, ell_values=[0, 2, 4], jobs=2)
+                         master_seed=21, ell_values=(0, 2, 4))
+    run_phase_grid(config, jobs=2)
     assert starts == [{"max_workers": 2}]
     assert [cell.ell for cell, _ in cells] == [0, 2, 4]
     for cell, records in cells:
@@ -245,9 +261,14 @@ def test_success_table_csv_round_trips_numpy_floats():
 
 
 def test_config_dict_round_trip():
-    config = tiny_config(ensemble="rbpft", K=(0, 1, 2), matrix_policy="fixed")
-    clone = ExperimentConfig.from_dict(config.to_dict())
-    assert clone == config
+    for config in (tiny_config(ensemble="rbpft", K=(0, 1, 2),
+                               matrix_policy="fixed"),
+                   tiny_config(ell_values=(2, 0, 1))):
+        clone = ExperimentConfig.from_dict(config.to_dict())
+        assert clone == config
+    assert tiny_config().to_dict()["ell_values"] is None
+    assert tiny_config(ell_values=(2, 0, 1)).to_dict()["ell_values"] == \
+        [2, 0, 1]
 
 
 # the block every manifest held while the solver settings were configurable
@@ -299,7 +320,7 @@ def test_config_keys_checked():
     assert set(d) <= set(experiments.CONFIG_REQUIRED
                          + experiments.CONFIG_OPTIONAL)
     assert ExperimentConfig.from_dict(dict(d, ell_values=[0, 1])) == \
-        tiny_config()
+        tiny_config(ell_values=(0, 1))
     # older manifests hold the worker count in the config; it is refused
     assert "jobs" not in d
     with pytest.raises(ValueError, match=r"missing \[\], unknown \['jobs'\]"):
