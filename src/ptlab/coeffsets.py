@@ -98,14 +98,16 @@ def prox_step(values, t, coeff_set, out=None):
 
 
 def _prox(v, t, coeff_set, out=None):
-    """prox_step for a float array v and steps t known to be positive."""
+    """prox_step for a float array v and steps t known to be positive; the
+    NONNEG and BOX01 cases work in place in out when it is given."""
     if coeff_set is CoeffSet.REAL:
         return np.multiply(np.sign(v), np.maximum(np.abs(v) - t, 0.0),
                            out=out)
     if coeff_set is CoeffSet.NONNEG:
-        return np.maximum(v - t, 0.0, out=out)
+        return np.maximum(np.subtract(v, t, out=out), 0.0, out=out)
     if coeff_set is CoeffSet.BOX01:
-        return np.minimum(np.maximum(v - t, 0.0), 1.0, out=out)
+        d = np.maximum(np.subtract(v, t, out=out), 0.0, out=out)
+        return np.minimum(d, 1.0, out=out)
     # scale each pair by 1 - t/max(|pair|, t), which is 0 for |pair| <= t,
     # worked out once per pair and written back to both of its entries
     sq = v * v

@@ -26,14 +26,16 @@ from .solver import (DEFAULT_OPTIONS, SUCCESS_THRESHOLD, declare_success,
 
 MULTIBLOCK_N_LIMIT = 4096
 SINGLE_BLOCK_M_LIMIT = 1024
-# A kernel call's state (projectors and iterates, solver.state_bytes) stays
-# under this.  Every iteration sweeps all of it, and once it outgrows the
-# cache the time per problem-iteration rises again: at the criterion-7
-# shape (166 kB a trial) 26 us at 25 trials, 31 us at 200, on a 2-core
-# host.  Within the bound a chunk still shares NumPy's per-call cost among
-# dozens of trials at that shape and hundreds at the small ones, and no
-# chunk holds more memory than one trial needs (one distinct-block trial
-# at the multiblock guard needs ~130 MB).
+# A kernel call's state at a window of one iteration (projectors and
+# iterates, solver.state_bytes) stays under this; a deeper window's stored
+# iterates add at most solver.HISTORY_BYTES.  Every iteration sweeps all
+# of it, and once it outgrows the cache the time per problem-iteration
+# rises again: at the criterion-7 shape (166 kB a trial) 26 us at 25
+# trials, 31 us at 200, on a 2-core host.  Within the bound a chunk still
+# shares NumPy's per-call cost among dozens of trials at that shape and
+# hundreds at the small ones, and no chunk holds more memory than one
+# trial needs (one distinct-block trial at the multiblock guard needs
+# ~130 MB).
 CHUNK_STATE_BYTES = 4 * 2 ** 20
 
 # the keys of a config file, to_dict's
@@ -59,6 +61,15 @@ class ExperimentConfig:
     def __post_init__(self):
         """Every rule a campaign must meet, checked once, before any trial
         runs."""
+        if not isinstance(self.coeff_set, CoeffSet):
+            raise ValueError(f"coeff_set must be a CoeffSet, got "
+                             f"{self.coeff_set!r}")
+        for name in ("ell", "m", "M", "B", "S", "master_seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("K", "ell_values"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(
+                    _integer(name, v) for v in getattr(self, name)))
         if self.matrix_policy not in ("fresh", "fixed"):
             raise ValueError("matrix_policy must be 'fresh' or 'fixed'")
         if self.ensemble not in ("rbuse", "dbuse", "rbpft", "rb_real_dft"):
@@ -72,19 +83,17 @@ class ExperimentConfig:
             if len(self.K) != self.m:
                 raise ValueError(f"K has {len(self.K)} entries, but "
                                  f"m = {self.m}")
-            object.__setattr__(self, "K", tuple(int(k) for k in self.K))
         # ProblemSizes refuses an ell outside 0..M, an m outside 1..M and B < 1
         object.__setattr__(self, "sizes",
                            ProblemSizes(self.ell, self.m, self.M, self.B))
-        if self.ell_values is not None:
-            ells = tuple(int(ell) for ell in self.ell_values)
+        ells = self.ell_values
+        if ells is not None:
             if not ells:
                 raise ValueError("ell_values is empty: a grid needs a cell")
             if len(set(ells)) < len(ells):
                 raise ValueError(f"ell_values repeats an ell: {list(ells)}")
             for ell in ells:
                 ProblemSizes(ell, self.m, self.M, self.B)
-            object.__setattr__(self, "ell_values", ells)
         if self.B > 1 and self.B * self.M > MULTIBLOCK_N_LIMIT:
             raise ValueError(f"desk-scale guard: multiblock N = B*M = "
                              f"{self.B * self.M} exceeds {MULTIBLOCK_N_LIMIT}")
@@ -121,16 +130,11 @@ class ExperimentConfig:
         if missing or unknown:
             raise ValueError(f"config keys: missing {missing}, "
                              f"unknown {unknown}")
-        for key in ("ell", "m", "M", "B", "S", "master_seed"):
-            _json_int(key, d[key])
         for key in ("K", "ell_values"):
             values = d.get(key)
-            if values is not None:
-                if not isinstance(values, list):
-                    raise ValueError(f"config key {key}: {values!r} is not "
-                                     f"a list")
-                for value in values:
-                    _json_int(key, value)
+            if values is not None and not isinstance(values, list):
+                raise ValueError(f"config key {key}: {values!r} is not a "
+                                 f"list")
         return cls(ensemble=d["ensemble"],
                    coeff_set=parse_coeffset(d["coeffset"]),
                    ell=d["ell"], m=d["m"], M=d["M"], B=d["B"], S=d["S"],
@@ -139,11 +143,13 @@ class ExperimentConfig:
                    K=d.get("K"), ell_values=d.get("ell_values"))
 
 
-def _json_int(key, value):
-    """Refuse a config value that is not a JSON integer (true is a Python
-    int, but not one in JSON)."""
-    if isinstance(value, bool) or not isinstance(value, int):
+def _integer(key, value):
+    """value as a Python int, if it is an integer (a NumPy one too, but not
+    a bool, which JSON does not count as one); a float, string or None is
+    refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"config key {key}: {value!r} is not an integer")
+    return int(value)
 
 
 @dataclass

@@ -10,7 +10,11 @@ separability of the problem made concrete: a repeated block shares one
 projector, so the x-update of all B blocks is a single matrix product.
 solve_batch iterates several such problems of one shape in one loop, each
 with its own step size and stop test, which shares NumPy's per-call cost
-among them; solve_p1 is its one-problem case.
+among them; solve_p1 is its one-problem case.  The loop tests the stop
+rule (Boyd et al. 2011, sec. 3.3.1) once per window of up to 25 iterations,
+over the iterates the window stored, in a history bounded by
+HISTORY_BYTES: a problem still stops at its first passing iteration, so
+its iterates and results are those of a test made every iteration.
 """
 
 import enum
@@ -24,6 +28,11 @@ from .coeffsets import CoeffSet, SignalVector, _prox, norm_l1x
 
 SUCCESS_THRESHOLD = 1e-3   # relative l2 error below which recovery succeeds
 POLISH_ACT_TOL = 1e-4      # polish: |coordinate| above which it stays free
+# admm_l1x's window lengths, largest first, and the bound on its history of
+# stored iterates: a lone small problem runs 25 iterations a window, while a
+# batch whose two slots alone outgrow the bound runs one
+WINDOWS = (25, 10, 5, 2)
+HISTORY_BYTES = 512 * 2 ** 10
 
 
 class SolveStatus(enum.Enum):
@@ -40,6 +49,10 @@ class SolverOptions:
     rho: float = 1.0           # ADMM penalty, residual-balanced during warmup
     adapt_every: int = 50
     adapt_until: int = 1000    # convergence needs an eventually fixed penalty
+
+    def __post_init__(self):
+        if self.max_iters < 1 or self.adapt_every < 1:
+            raise ValueError("max_iters and adapt_every must be at least 1")
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -63,9 +76,11 @@ def _norm(a):
 
 
 def state_bytes(B, c, shared):
-    """Bytes admm_l1x holds per problem of B blocks of c columns: its
-    projectors (one for all blocks when shared) and 16 (B, c) arrays of
-    iterates, buffers and temporaries."""
+    """Bytes admm_l1x holds per problem of B blocks of c columns at a
+    window of one iteration: its projectors (one for all blocks when
+    shared) and 16 (B, c) arrays, the two history slots' five rows, the v
+    and w buffers and the prox's temporaries.  A deeper window's history
+    adds at most HISTORY_BYTES to a whole call."""
     return 8 * ((1 if shared else B) * c * c + 16 * B * c)
 
 
@@ -91,12 +106,21 @@ def admm_l1x(stacks, y_blocks, coeff_set, shared, opts=DEFAULT_OPTIONS):
     problem carries its own rho, step 1/rho, residual norms and stop test,
     each norm is that problem's own dot, and every matrix product keeps the
     one-problem shape, so a problem's iterates do not depend on the batch
-    it runs in.  A problem that stops is compacted out of the active arrays.
+    it runs in.
+
+    The loop runs in windows of W iterations (see _window).  Inside a
+    window it makes the updates alone, each iteration into its own slot of
+    a history of W + 1 slots; at the window's end it tests the stop rule
+    on every stored iteration at once.  A problem stops at its first
+    passing iteration, with that iteration's z, exactly as if it had been
+    tested every iteration; its later iterates in the window are dropped.
+    Stopped problems are compacted out of the active arrays at the window's
+    end, and rho adaptation and the iteration cap fall on window ends too.
 
     Returns one (z, status, s_norm, iterations, seconds) per problem, z of
     shape (B, c).  seconds is the problem's own set-up time plus its share
-    of the loop: the time between compaction events divided among the
-    problems active then.
+    of the loop: the time between compaction events (window ends) divided
+    among the problems active then.
     """
     results, seconds = [None] * len(stacks), [0.0] * len(stacks)
     active, Ps, qs = [], [], []
@@ -117,88 +141,124 @@ def admm_l1x(stacks, y_blocks, coeff_set, shared, opts=DEFAULT_OPTIONS):
     t_last = time.perf_counter()
     P, q = np.stack(Ps), np.stack(qs)
     n, B, c = q.shape
-    # two sets of rows x - z, z - z_old, x, z, u per active problem, which
-    # alternate as this iteration's and the last one's; set 0 is read first
-    state = np.empty((2, 5, n, B, c))
-    state[0, 3], state[0, 4] = q, 0.0
-    rho = [opts.rho] * n
-    step = np.array([1.0 / r for r in rho])[:, None, None]
+    # history slots of rows x - z, z - z_old, x, z, u per active problem;
+    # `carry` holds the last iteration's, and a window writes the slots
+    # after it (dirn 1) or before it (dirn -1) and leaves its last in carry
+    W, hist, steps, work = _layout(P, np.stack((q, np.zeros_like(q))), 0,
+                                   shared, opts)
+    carry, dirn, it = 0, 1, 0
+    rho = np.full(n, opts.rho)
+    step = (1.0 / rho)[:, None, None]
     sq_dim = math.sqrt(B * c)
-    tol, sqrt = opts.tol, math.sqrt
-    work = _workspace(state, P, shared)
-    for it in range(1, opts.max_iters + 1):
-        (dxz, dz, x, z, u, x_col, z_old, u_old, PT, v, v_col, w, flat, flat_t,
-         sq, sq_rows) = work[it % 2]
-        np.subtract(z_old, u_old, out=v)
-        if shared:
-            np.matmul(v, PT, out=x)
+    tol = opts.tol
+    while True:
+        span = W - it % W   # the window ends on the next multiple of W
+        first = carry if dirn > 0 else W - carry
+        _update(steps[dirn][first:first + span], P, q, step, coeff_set,
+                *work)
+        it += span
+        r, s, xn, zn, un = _norms(hist, carry, span, dirn).transpose(1, 0, 2)
+        s = rho * s
+        passed = (r <= tol * (sq_dim + np.maximum(xn, zn))) \
+            & (s <= tol * (sq_dim + rho * un))
+        carry += dirn * span
+        done = passed.any(axis=0)
+        if done.any():
+            t_last = _charge(seconds, active, t_last)
+            for j in np.flatnonzero(done).tolist():
+                i = int(passed[:, j].argmax())
+                slot = carry - dirn * (span - 1 - i)
+                results[active[j]] = (hist[slot, 3, j].copy(),
+                                      SolveStatus.CONVERGED, float(s[i, j]),
+                                      it - span + 1 + i)
+            keep = np.flatnonzero(~done)
+            if not keep.size:
+                break
+            active = [active[j] for j in keep.tolist()]
+            P, q, rho, step = P[keep], q[keep], rho[keep], step[keep]
+            r, s = r[:, keep], s[:, keep]
+            zu = hist[carry, 3:][:, keep]
+            del hist, steps   # freed before the smaller history is allocated
+            W, hist, steps, work = _layout(P, zu, it, shared, opts)
+            carry, dirn = it % W, 1
         else:
+            dirn = -dirn
+        if it == opts.max_iters:
+            _charge(seconds, active, t_last)
+            for j, k in enumerate(active):
+                results[k] = (hist[carry, 3, j].copy(), SolveStatus.MAX_ITERS,
+                              float(s[-1, j]), it)
+            break
+        if it <= opts.adapt_until and it % opts.adapt_every == 0:
+            up, down = r[-1] > 10.0 * s[-1], s[-1] > 10.0 * r[-1]
+            if up.any() or down.any():
+                hist[carry, 4] *= np.where(up, 0.5, np.where(down, 2.0, 1.0)
+                                           )[:, None, None]
+                rho = np.where(up, rho * 2.0, np.where(down, rho / 2.0, rho))
+                step = (1.0 / rho)[:, None, None]
+    return [r + (t,) for r, t in zip(results, seconds)]
+
+
+def _window(n, B, c, opts):
+    """Iterations per window for n problems of B blocks of c columns: the
+    largest of WINDOWS that divides adapt_every and max_iters (so that rho
+    adaptation and the cap fall on window ends) and whose W + 1 history
+    slots fit in HISTORY_BYTES; else 1."""
+    return next((W for W in WINDOWS
+                 if opts.adapt_every % W == 0 and opts.max_iters % W == 0
+                 and 8 * 5 * (W + 1) * n * B * c <= HISTORY_BYTES), 1)
+
+
+def _layout(P, zu, it, shared, opts):
+    """The loop's arrays after iteration `it` for the active problems, whose
+    projectors are P and whose last z and u rows are zu: the window W, a
+    history of W + 1 slots with zu in slot it % W (so that the next window
+    ends in slot W), per direction the views each iteration of a window
+    writes (x, z, u and x as columns) and reads (the previous iteration's
+    z and u), and _update's work arrays.  For dirn 1 entry i writes slot
+    i + 1, for dirn -1 it writes slot W - 1 - i."""
+    _, n, B, c = zu.shape
+    W = _window(n, B, c, opts)
+    hist = np.empty((W + 1, 5, n, B, c))
+    hist[it % W, 3:] = zu
+    x, z, u = hist[:, 2], hist[:, 3], hist[:, 4]
+    slots = [(x[i], z[i], u[i], x[i, ..., None]) for i in range(W + 1)]
+    steps = {1: [slots[i] + slots[i - 1][1:3] for i in range(1, W + 1)],
+             -1: [slots[i] + slots[i + 1][1:3] for i in range(W - 1, -1, -1)]}
+    v = np.empty((n, B, c))
+    return W, hist, steps, (P.transpose(0, 2, 1) if shared else None, v,
+                            v[..., None], np.empty_like(v))
+
+
+def _update(window, P, q, step, coeff_set, PT, v, v_col, w):
+    """The ADMM updates of one window, each iteration into its own history
+    slot: x by the projector (PT, the transposed one, when it is shared),
+    then z by the prox and u."""
+    for x, z, u, x_col, z_old, u_old in window:
+        np.subtract(z_old, u_old, out=v)
+        if PT is None:
             np.matmul(P, v_col, out=x_col)
+        else:
+            np.matmul(v, PT, out=x)
         x += q
         np.add(x, u_old, out=w)
         _prox(w, step, coeff_set, out=z)
         np.subtract(w, z, out=u)
-        np.subtract(x, z, out=dxz)
-        np.subtract(z, z_old, out=dz)
-        # each problem's squared norms, one BLAS dot per row and problem
-        np.matmul(flat, flat_t, out=sq)
-        r2, s2, x2, z2, u2 = sq_rows.tolist()
-        done = []
-        for j, a in enumerate(r2):
-            if sqrt(a) <= tol * (sq_dim + max(sqrt(x2[j]), sqrt(z2[j]))) \
-                    and rho[j] * sqrt(s2[j]) <= tol * (sq_dim + rho[j]
-                                                       * sqrt(u2[j])):
-                done.append(j)
-        if done:
-            t_last = _charge(seconds, active, t_last)
-            for j in done:
-                results[active[j]] = (z[j].copy(), SolveStatus.CONVERGED,
-                                      rho[j] * sqrt(s2[j]), it)
-            keep = [j for j in range(len(active)) if j not in done]
-            if not keep:
-                break
-            active = [active[j] for j in keep]
-            rho = [rho[j] for j in keep]
-            r2, s2 = [r2[j] for j in keep], [s2[j] for j in keep]
-            P, q, state = P[keep], q[keep], state[:, :, keep]
-            step = step[keep]
-            work = _workspace(state, P, shared)
-        if it <= opts.adapt_until and it % opts.adapt_every == 0:
-            factor = [1.0] * len(active)
-            for j, (a, b) in enumerate(zip(r2, s2)):
-                r_norm, s_norm = sqrt(a), rho[j] * sqrt(b)
-                if r_norm > 10.0 * s_norm:
-                    rho[j], factor[j] = rho[j] * 2.0, 0.5
-                elif s_norm > 10.0 * r_norm:
-                    rho[j], factor[j] = rho[j] / 2.0, 2.0
-            if factor != [1.0] * len(active):
-                state[it % 2, 4] *= np.array(factor)[:, None, None]
-                step = np.array([1.0 / r for r in rho])[:, None, None]
-    else:
-        _charge(seconds, active, t_last)
-        for j, k in enumerate(active):
-            results[k] = (state[it % 2, 3, j].copy(), SolveStatus.MAX_ITERS,
-                          rho[j] * sqrt(s2[j]), it)
-    return [r + (t,) for r, t in zip(results, seconds)]
 
 
-def _workspace(state, P, shared):
-    """The loop's arrays for each parity of the iteration count: the five
-    rows it writes (and x as columns), the last iteration's z and u, the
-    transposed projectors, the v and w buffers, and each problem's rows
-    flattened to (1, B*c) and (B*c, 1) matrices with their squared norms."""
-    v = np.empty(state.shape[2:])
-    sq = np.empty(state.shape[1:3] + (1, 1))
-    common = (P.transpose(0, 2, 1) if shared else None, v, v[..., None],
-              np.empty_like(v))
-    work = []
-    for i in (0, 1):
-        rows, last = state[i], state[1 - i]
-        flat = rows.reshape(rows.shape[:2] + (1, -1))
-        work.append((*rows, rows[2, ..., None], last[3], last[4], *common,
-                     flat, flat.transpose(0, 1, 3, 2), sq,
-                     sq.reshape(sq.shape[:2])))
-    return work
+def _norms(hist, carry, span, dirn):
+    """The norms of rows x - z, z - z_old, x, z, u of the span iterations a
+    window wrote from carry in direction dirn, as (span, 5, n) in iteration
+    order.  Fills the x - z and z - z_old rows first; each squared norm is
+    one BLAS dot per row, problem and iteration, as for one problem alone."""
+    lo, hi = (carry + 1, carry + span + 1) if dirn > 0 else \
+        (carry - span, carry)
+    now, last = hist[lo:hi], hist[lo - dirn:hi - dirn]
+    np.subtract(now[:, 2], now[:, 3], out=now[:, 0])
+    np.subtract(now[:, 3], last[:, 3], out=now[:, 1])
+    flat = now.reshape(now.shape[:3] + (1, -1))
+    return np.sqrt(np.matmul(flat, flat.transpose(0, 1, 2, 4, 3))
+                   [..., 0, 0])[::dirn]
 
 
 def _charge(seconds, active, t_last):

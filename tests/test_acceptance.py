@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
-complete.  The suite takes about two minutes on a 2-core host, almost all
+complete.  The suite takes about a minute on a 2-core host, almost all
 of it in the Monte-Carlo criteria 7, 2 and 1; pytest's
 `--durations=5` report (on by default, see pyproject.toml) names them.
 """
@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from ptlab.cli import _usable_cores
 from ptlab.coeffsets import CoeffSet
 from ptlab.ensembles import (general_position_rows, min_column_minor,
                              partial_real_dft_block, sample_signal,
@@ -25,6 +26,10 @@ from ptlab.predict import asymptotic_pt, predict_pt
 from ptlab.solver import DEFAULT_OPTIONS, solve_p1
 from ptlab.verify import (check_gram_structure, check_isometry_factorization,
                           equivalence_sweep)
+
+# the Monte-Carlo criteria 1, 2 and 7 run on up to two of the cores this
+# process may use; a campaign's records are the same for any jobs
+JOBS = min(2, _usable_cores())
 
 
 def report(criterion, ok, detail):
@@ -46,7 +51,7 @@ def test_criterion_1_exact_formula_agreement():
                                   M=M, B=1, S=S, master_seed=100 + i,
                                   matrix_policy="fixed",
                                   K=tuple(int(r) for r in rows))
-        records = run_trials(config)
+        records = run_trials(config, JOBS)
         pi = sum(r.success for r in records) / S
         q = q_sb_exact(ell, m, M)
         tol = 3.0 * math.sqrt(q * (1.0 - q) / S)
@@ -63,8 +68,8 @@ def test_criterion_2_product_rule():
                           m=m, M=M, B=B, S=S, master_seed=41)
     sb = ExperimentConfig(ensemble="dbuse", coeff_set=CoeffSet.BOX01, ell=3,
                           m=m, M=M, B=1, S=S, master_seed=42)
-    p_mb = sum(r.success for r in run_trials(mb)) / S
-    p_sb = sum(r.success for r in run_trials(sb)) / S
+    p_mb = sum(r.success for r in run_trials(mb, JOBS)) / S
+    p_sb = sum(r.success for r in run_trials(sb, JOBS)) / S
     diff = abs(p_mb - p_sb ** B)
     pooled = math.sqrt(p_mb * (1 - p_mb) / S
                        + (B * p_sb ** (B - 1)) ** 2 * p_sb * (1 - p_sb) / S)
@@ -151,7 +156,7 @@ def test_criterion_7_monte_carlo_displacement():
     config = ExperimentConfig(ensemble="rbuse", coeff_set=CoeffSet.COMPLEX,
                               ell=0, m=12, M=24, B=24, S=200,
                               master_seed=20240501)
-    table = run_phase_grid(config)
+    table = run_phase_grid(config, JOBS)
     fit = fit_quantal(table, Link.CLL)
     eps_fit = empirical_pt(fit)
     pred = predict_pt(12, 24, 24, CoeffSet.COMPLEX)

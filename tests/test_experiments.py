@@ -306,6 +306,33 @@ def test_config_checks_S_and_K():
             tiny_config(ensemble=ensemble, K=(0, 1, 2))
 
 
+def test_config_checks_types():
+    # the library path refuses what from_dict refuses, when the config is
+    # built: a float, bool, string or None size, a non-integer K or
+    # ell_values entry, and a coeff_set that is not a CoeffSet
+    dft = dict(ensemble="rb_real_dft", m=3, K=(0, 1, 2))
+    for kw, message in (
+            (dict(ell=1.7), "config key ell: 1.7 is not an integer"),
+            (dict(m="3"), "config key m: '3' is not an integer"),
+            (dict(M=4.0), "config key M: 4.0 is not an integer"),
+            (dict(B=True), "config key B: True is not an integer"),
+            (dict(S=None), "config key S: None is not an integer"),
+            (dict(master_seed=np.float64(7)),
+             r"config key master_seed: np.float64\(7.0\) is not"),
+            (dict(dft, K=(0, 1.0, 2)), "config key K: 1.0 is not"),
+            (dict(ell_values=(1.5,)), "config key ell_values: 1.5 is not"),
+            (dict(ell_values=(0, False)), "config key ell_values: False"),
+            (dict(coeff_set="real"), "coeff_set must be a CoeffSet, got "
+                                     "'real'")):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**kw)
+    # NumPy integers are integers, and are kept as Python ones
+    config = tiny_config(**dict(dft, ell=np.int64(2), S=np.int32(8),
+                                K=np.arange(3), ell_values=(np.int64(1),)))
+    assert config == tiny_config(**dict(dft, ell_values=(1,)))
+    assert json.loads(json.dumps(config.to_dict())) == config.to_dict()
+
+
 def test_default_window():
     # criterion 7's sweep: rbuse COMPLEX, m=12, M=24, B=24
     assert experiments.default_window(12, 24, 24, CoeffSet.COMPLEX) == \

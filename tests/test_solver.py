@@ -7,8 +7,10 @@ from ptlab.ensembles import (ProblemSizes, dbuse, make_block_diagonal,
                              sample_use)
 from ptlab.oracle import RESIDUAL_CERT, lp_oracle, socp_min_l1x
 from ptlab.seeds import stream
-from ptlab.solver import (DEFAULT_OPTIONS, SolveStatus, declare_success,
-                          relative_error, solve_batch, solve_p1)
+from ptlab import solver
+from ptlab.solver import (DEFAULT_OPTIONS, SolverOptions, SolveStatus,
+                          admm_l1x, declare_success, relative_error,
+                          solve_batch, solve_p1)
 
 ALL_SETS = (CoeffSet.BOX01, CoeffSet.NONNEG, CoeffSet.REAL, CoeffSet.COMPLEX)
 
@@ -413,3 +415,65 @@ def test_batch_composition_does_not_change_iterates():
     with pytest.raises(ValueError, match="one block shape"):
         solve_batch([groups[0][1][0][0], groups[1][1][0][0]],
                     [groups[0][1][0][1], groups[1][1][0][1]], CoeffSet.BOX01)
+
+
+def test_windowed_stop_test_matches_reference(monkeypatch):
+    # the stop rule runs once per window of stored iterates; every problem
+    # must still stop where the every-iteration test stops it, bit for bit,
+    # whatever residue mod W its stop falls on, through the cap, and
+    # through compactions that change W
+    rng = stream(15, "window")
+    groups = []
+    for cs in ALL_SETS:
+        field_name = "complex" if cs.is_complex else "real"
+        for make in (rbuse, dbuse):
+            group = []
+            for _ in range(12):
+                op = make(4, 6, 2, field_name, rng)
+                x0 = sample_signal(ProblemSizes(int(rng.integers(0, 4)), 4,
+                                                6, 2), cs, rng)
+                stack = op.real_block_stack(cs)
+                y = op.apply(x0.values, cs)
+                group.append((stack, y.reshape(stack.shape[:2])))
+            groups.append((cs, op.shared, group))
+    windows = []
+
+    def spy(*args):
+        windows.append(window(*args))
+        return windows[-1]
+
+    window, bound = solver._window, solver.HISTORY_BYTES
+    monkeypatch.setattr(solver, "_window", spy)
+    # cap 2000, adapt_every 50: W 25; cap 300, adapt_every 30: W 10, and
+    # the cap falls on an adaptation
+    for opts, W in ((SolverOptions(max_iters=2000), 25),
+                    (SolverOptions(max_iters=300, adapt_every=30), 10)):
+        stops, statuses = set(), set()
+        for cs, shared, group in groups:
+            expected = [reference_one_problem(stack, y, shared, cs, opts)
+                        for stack, y in group]
+            stops |= {e[3] % W for e in expected
+                      if e[1] is SolveStatus.CONVERGED}
+            statuses |= {e[1] for e in expected}
+            stacks, ys = zip(*group)
+            windows.clear()
+            alone = [admm_l1x([stack], [y], cs, shared, opts)[0]
+                     for stack, y in group]
+            assert set(windows) == {W}
+            # a bound that holds 25 iterations of one problem: the batch
+            # starts at W = 1 and W grows as its problems stop
+            B, _, c = stacks[0].shape
+            monkeypatch.setattr(solver, "HISTORY_BYTES", 8 * 5 * 26 * B * c)
+            windows.clear()
+            batch = admm_l1x(stacks, ys, cs, shared, opts)
+            monkeypatch.setattr(solver, "HISTORY_BYTES", bound)
+            assert windows[0] == 1 and len(set(windows)) > 2
+            for got, ref in zip(alone + batch, expected + expected):
+                z, status, s_norm, iters, _ = got
+                assert (iters, status, s_norm) == (ref[3], ref[1], ref[2])
+                assert np.array_equal(z.view(np.int64), ref[0].view(np.int64))
+        assert stops == set(range(W))
+        assert statuses == {SolveStatus.CONVERGED, SolveStatus.MAX_ITERS}
+    for bad in ({"max_iters": 0}, {"adapt_every": 0}):
+        with pytest.raises(ValueError, match="at least 1"):
+            SolverOptions(**bad)
