@@ -92,30 +92,50 @@ def prox_step(values, t, coeff_set, out=None):
     against values (one per problem of a batch), and out, if given, receives
     the result.
     """
-    if np.less_equal(t, 0.0).any():
+    if not np.greater(t, 0.0).all():
         raise ValueError("prox step size must be positive")
     return _prox(np.asarray(values, dtype=float), t, coeff_set, out)
 
 
-def _prox(v, t, coeff_set, out=None):
-    """prox_step for a float array v and steps t known to be positive; the
-    NONNEG and BOX01 cases work in place in out when it is given."""
-    if coeff_set is CoeffSet.REAL:
-        return np.multiply(np.sign(v), np.maximum(np.abs(v) - t, 0.0),
-                           out=out)
-    if coeff_set is CoeffSet.NONNEG:
-        return np.maximum(np.subtract(v, t, out=out), 0.0, out=out)
-    if coeff_set is CoeffSet.BOX01:
-        d = np.maximum(np.subtract(v, t, out=out), 0.0, out=out)
-        return np.minimum(d, 1.0, out=out)
+# _prox's per-call constants: a ufunc takes a 0-d array operand at less
+# cost than a Python float, and a module name reads faster than an enum
+# member through its class
+_ZERO = np.array(0.0)
+_ONE = np.array(1.0)
+_REAL, _NONNEG, _BOX01 = CoeffSet.REAL, CoeffSet.NONNEG, CoeffSet.BOX01
+
+
+def _prox(v, t, coeff_set, out=None, work=None):
+    """prox_step for a float array v and steps t known to be positive.
+
+    out, if given, receives the result, and work, if given, is scratch of
+    v's shape that must not overlap v or out; with both, REAL, NONNEG and
+    BOX01 allocate nothing and COMPLEX only its per-pair scale.  The
+    solver passes t at full shape, v's for the real sets and one entry per
+    pair for COMPLEX, so no operand is broadcast.  Each operation keeps the
+    operands and order of the plain expressions, so every result is the
+    same to the bit, signed zeros included.
+    """
+    if coeff_set is _REAL:
+        # sign(v) * max(|v| - t, 0)
+        d = np.abs(v, out=work)
+        np.subtract(d, t, out=d)
+        np.maximum(d, _ZERO, out=d)
+        s = np.sign(v, out=out)
+        return np.multiply(s, d, out=s)
+    if coeff_set is _NONNEG:
+        return np.maximum(np.subtract(v, t, out=out), _ZERO, out=out)
+    if coeff_set is _BOX01:
+        d = np.maximum(np.subtract(v, t, out=out), _ZERO, out=out)
+        return np.minimum(d, _ONE, out=out)
     # scale each pair by 1 - t/max(|pair|, t), which is 0 for |pair| <= t,
     # worked out once per pair and written back to both of its entries
-    sq = v * v
+    sq = np.multiply(v, v, out=work)
     scale = sq[..., 0::2] + sq[..., 1::2]
     np.sqrt(scale, out=scale)
     np.maximum(scale, t, out=scale)
     np.divide(t, scale, out=scale)
-    np.subtract(1.0, scale, out=scale)
+    np.subtract(_ONE, scale, out=scale)
     sq[..., 0::2] = scale
     sq[..., 1::2] = scale
     return np.multiply(v, sq, out=out)

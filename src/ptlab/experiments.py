@@ -30,10 +30,10 @@ SINGLE_BLOCK_M_LIMIT = 1024
 # iterates, solver.state_bytes) stays under this; a deeper window's stored
 # iterates add at most solver.HISTORY_BYTES.  Every iteration sweeps all
 # of it, and once it outgrows the cache the time per problem-iteration
-# rises again: at the criterion-7 shape (166 kB a trial) 26 us at 25
-# trials, 31 us at 200, on a 2-core host.  Within the bound a chunk still
-# shares NumPy's per-call cost among dozens of trials at that shape and
-# hundreds at the small ones, and no chunk holds more memory than one
+# rises again: at the criterion-7 shape (166 kB a trial) 16 us at 25
+# trials, 25-28 us at 200, on a 2-core host.  Within the bound a chunk
+# still shares NumPy's per-call cost among dozens of trials at that shape
+# and hundreds at the small ones, and no chunk holds more memory than one
 # trial needs (one distinct-block trial at the multiblock guard needs
 # ~130 MB).
 CHUNK_STATE_BYTES = 4 * 2 ** 20

@@ -51,8 +51,18 @@ class SolverOptions:
     adapt_until: int = 1000    # convergence needs an eventually fixed penalty
 
     def __post_init__(self):
+        for name in ("tol", "feas_tol", "rho"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite number > 0, "
+                                 f"got {value!r}")
+        for name in ("max_iters", "adapt_every", "adapt_until"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.max_iters < 1 or self.adapt_every < 1:
             raise ValueError("max_iters and adapt_every must be at least 1")
+        if self.adapt_until < 0:
+            raise ValueError("adapt_until must be at least 0")
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -78,8 +88,10 @@ def _norm(a):
 def state_bytes(B, c, shared):
     """Bytes admm_l1x holds per problem of B blocks of c columns at a
     window of one iteration: its projectors (one for all blocks when
-    shared) and 16 (B, c) arrays, the two history slots' five rows, the v
-    and w buffers and the prox's temporaries.  A deeper window's history
+    shared) and 16 (B, c) arrays, a bound on the 14 it holds: the two
+    history slots' five rows, q, the v and w buffers and the prox's step
+    (half of one for COMPLEX, whose prox adds a half-size per-pair scale;
+    the other sets' proxes allocate nothing).  A deeper window's history
     adds at most HISTORY_BYTES to a whole call."""
     return 8 * ((1 if shared else B) * c * c + 16 * B * c)
 
@@ -140,6 +152,7 @@ def admm_l1x(stacks, y_blocks, coeff_set, shared, opts=DEFAULT_OPTIONS):
 
     t_last = time.perf_counter()
     P, q = np.stack(Ps), np.stack(qs)
+    del Ps, qs
     n, B, c = q.shape
     # history slots of rows x - z, z - z_old, x, z, u per active problem;
     # `carry` holds the last iteration's, and a window writes the slots
@@ -148,7 +161,9 @@ def admm_l1x(stacks, y_blocks, coeff_set, shared, opts=DEFAULT_OPTIONS):
                                    shared, opts)
     carry, dirn, it = 0, 1, 0
     rho = np.full(n, opts.rho)
-    step = (1.0 / rho)[:, None, None]
+    # the prox's step 1/rho at the shape of its operand: v's for the real
+    # sets, one entry per pair for COMPLEX
+    step = _full_step(rho, (n, B, c // 2 if coeff_set.is_complex else c))
     sq_dim = math.sqrt(B * c)
     tol = opts.tol
     while True:
@@ -195,8 +210,13 @@ def admm_l1x(stacks, y_blocks, coeff_set, shared, opts=DEFAULT_OPTIONS):
                 hist[carry, 4] *= np.where(up, 0.5, np.where(down, 2.0, 1.0)
                                            )[:, None, None]
                 rho = np.where(up, rho * 2.0, np.where(down, rho / 2.0, rho))
-                step = (1.0 / rho)[:, None, None]
+                step = _full_step(rho, step.shape)
     return [r + (t,) for r, t in zip(results, seconds)]
+
+
+def _full_step(rho, shape):
+    """Each problem's step 1/rho repeated over its part of shape."""
+    return np.broadcast_to((1.0 / rho)[:, None, None], shape).copy()
 
 
 def _window(n, B, c, opts):
@@ -233,7 +253,8 @@ def _layout(P, zu, it, shared, opts):
 def _update(window, P, q, step, coeff_set, PT, v, v_col, w):
     """The ADMM updates of one window, each iteration into its own history
     slot: x by the projector (PT, the transposed one, when it is shared),
-    then z by the prox and u."""
+    then z by the prox and u.  step is at the prox's full shape, and v,
+    dead once the projector product is taken, is the prox's scratch."""
     for x, z, u, x_col, z_old, u_old in window:
         np.subtract(z_old, u_old, out=v)
         if PT is None:
@@ -242,7 +263,7 @@ def _update(window, P, q, step, coeff_set, PT, v, v_col, w):
             np.matmul(v, PT, out=x)
         x += q
         np.add(x, u_old, out=w)
-        _prox(w, step, coeff_set, out=z)
+        _prox(w, step, coeff_set, z, v)
         np.subtract(w, z, out=u)
 
 

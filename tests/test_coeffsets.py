@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ptlab.coeffsets import (CoeffSet, SignalVector, count_free, norm_l1x,
-                             parse_coeffset, prox_step)
+from ptlab.coeffsets import (CoeffSet, SignalVector, _prox, count_free,
+                             norm_l1x, parse_coeffset, prox_step)
 
 
 def sv(values, cs, M=None, B=1):
@@ -49,8 +49,10 @@ def test_prox_examples():
     assert prox_step(np.array([2.0]), 0.5, CoeffSet.REAL)[0] == pytest.approx(1.5)
     assert prox_step(np.array([0.3]), 0.5, CoeffSet.REAL)[0] == 0.0
     assert prox_step(np.array([1.9]), 0.5, CoeffSet.BOX01)[0] == 1.0
-    with pytest.raises(ValueError):
-        prox_step(np.array([1.0]), 0.0, CoeffSet.REAL)
+    for cs in CoeffSet:
+        for t in (0.0, -0.5, np.nan, np.array([[[0.5]], [[np.nan]]])):
+            with pytest.raises(ValueError, match="must be positive"):
+                prox_step(np.ones((2, 1, 2)), t, cs)
 
 
 def brute_force_prox_1d(x, t, cs):
@@ -133,6 +135,56 @@ def test_prox_complex_bit_equal_to_reference():
     with pytest.raises(ValueError):
         prox_step(np.ones((2, 1, 2)), np.array([[[0.5]], [[0.0]]]),
                   CoeffSet.COMPLEX)
+
+
+REFERENCE_PROX = {
+    # the expressions prox_step's real sets were first written as
+    CoeffSet.REAL: lambda v, t: np.sign(v) * np.maximum(np.abs(v) - t, 0.0),
+    CoeffSet.NONNEG: lambda v, t: np.maximum(v - t, 0.0),
+    CoeffSet.BOX01: lambda v, t: np.minimum(np.maximum(v - t, 0.0), 1.0),
+}
+
+
+def test_prox_bit_equal_to_references():
+    # every set, with one step per problem of a (K, B, c) batch given at
+    # full shape (one per pair for COMPLEX) or broadcast from (K, 1, 1),
+    # with and without out and the work buffer; entries include +-0.0,
+    # |v| == t, v == 1 + t and tiny ones, and v itself is left alone
+    rng = np.random.default_rng(7)
+    for cs in CoeffSet:
+        amb = cs.ambient_dim
+        for _ in range(150):
+            K, B, p = (int(k) for k in rng.integers(1, 5, size=3))
+            v = rng.standard_normal((K, B, p, amb)) \
+                * 10.0 ** rng.integers(-6, 2)
+            t = np.exp(rng.standard_normal((K, 1, 1)))
+            tt = np.broadcast_to(t[..., None], (K, B, p, amb))
+            v[rng.random((K, B, p)) < 0.15] = 0.0
+            v[..., 0][rng.random((K, B, p)) < 0.1] = -0.0
+            v[rng.random((K, B, p)) < 0.1] *= 1e-300
+            at_t = rng.random((K, B, p)) < 0.1
+            v[at_t] = 0.0
+            sign = np.where(rng.random((K, B, p)) < 0.5, -1.0, 1.0)
+            v[..., 0][at_t] = (sign * tt[..., 0])[at_t]
+            if cs is CoeffSet.BOX01:
+                at_one = rng.random((K, B, p)) < 0.1
+                v[at_one] = (1.0 + tt)[at_one]
+            v = v.reshape(K, B, p * amb)
+            if cs.is_complex:
+                want = np.concatenate([reference_complex_prox(v[k], t[k, 0, 0])
+                                       [None] for k in range(K)])
+            else:
+                want = REFERENCE_PROX[cs](v, t)
+            before = v.copy()
+            for step in (t, np.broadcast_to(t, (K, B, p)).copy()):
+                for out in (None, np.empty_like(v)):
+                    for work in (None, np.empty_like(v)):
+                        got = _prox(v, step, cs, out, work)
+                        assert out is None or got is out
+                        assert np.array_equal(got.view(np.int64),
+                                              want.view(np.int64))
+                        assert np.array_equal(v.view(np.int64),
+                                              before.view(np.int64))
 
 
 def test_count_free_examples():

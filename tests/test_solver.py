@@ -477,3 +477,27 @@ def test_windowed_stop_test_matches_reference(monkeypatch):
     for bad in ({"max_iters": 0}, {"adapt_every": 0}):
         with pytest.raises(ValueError, match="at least 1"):
             SolverOptions(**bad)
+
+
+@pytest.mark.parametrize("name", ["tol", "feas_tol", "rho"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_options_refuse_a_step_or_tolerance_that_is_not_positive(name, value):
+    # rho = -1 "converged" to a point that is not the minimizer, rho = 0
+    # divided by zero, and tol = nan ran to the iteration cap
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        SolverOptions(**{name: value})
+
+
+def test_options_refuse_a_negative_adaptation_limit():
+    assert SolverOptions(adapt_until=0).adapt_until == 0
+    with pytest.raises(ValueError, match="adapt_until must be at least 0"):
+        SolverOptions(adapt_until=-1)
+
+
+@pytest.mark.parametrize("name", ["max_iters", "adapt_every", "adapt_until"])
+def test_options_refuse_a_count_that_is_not_an_integer(name):
+    # a loop counter never equals max_iters = 2.5, so a solve that does not
+    # converge would never stop
+    assert getattr(SolverOptions(**{name: np.int64(50)}), name) == 50
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        SolverOptions(**{name: 2.5})
