@@ -22,21 +22,10 @@ from .ensembles import ProblemSizes
 from .seeds import stream
 # SUCCESS_THRESHOLD is unused here but stays importable: perfbench reads it
 from .solver import (DEFAULT_OPTIONS, SUCCESS_THRESHOLD, declare_success,
-                     relative_error, solve_batch, state_bytes)
+                     max_batch, relative_error, solve_batch)
 
 MULTIBLOCK_N_LIMIT = 4096
 SINGLE_BLOCK_M_LIMIT = 1024
-# A kernel call's state at a window of one iteration (projectors and
-# iterates, solver.state_bytes) stays under this; a deeper window's stored
-# iterates add at most solver.HISTORY_BYTES.  Every iteration sweeps all
-# of it, and once it outgrows the cache the time per problem-iteration
-# rises again: at the criterion-7 shape (166 kB a trial) 16 us at 25
-# trials, 25-28 us at 200, on a 2-core host.  Within the bound a chunk
-# still shares NumPy's per-call cost among dozens of trials at that shape
-# and hundreds at the small ones, and no chunk holds more memory than one
-# trial needs (one distinct-block trial at the multiblock guard needs
-# ~130 MB).
-CHUNK_STATE_BYTES = 4 * 2 ** 20
 
 # the keys of a config file, to_dict's
 CONFIG_REQUIRED = ("ensemble", "coeffset", "ell", "m", "M", "B", "S",
@@ -269,12 +258,11 @@ def run_chunk(config, start, stop):
 def _chunks(cell, jobs):
     """(start, stop) of each kernel call for the cell's trials: runs of
     at most ceil(S / jobs) consecutive trials, so that each of `jobs`
-    workers gets one, and shorter where the kernel state of trial 0's
-    operator says a run would outgrow CHUNK_STATE_BYTES."""
+    workers gets one, and shorter where solver.max_batch takes fewer
+    problems of trial 0's operator in one call."""
     op = _trial_operator(cell, 0)
     B, _, c = op.real_block_stack(cell.coeff_set).shape
-    size = max(1, min(CHUNK_STATE_BYTES // state_bytes(B, c, op.shared),
-                      -(-cell.S // jobs)))
+    size = min(max_batch(B, c, op.shared), -(-cell.S // jobs))
     return [(a, min(a + size, cell.S)) for a in range(0, cell.S, size)]
 
 
@@ -287,6 +275,8 @@ def _run_cells(cells, jobs):
     take up the chunks that follow it, whatever their cell.  Returns one
     record list per cell, in trial order.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     work = [(cell, a, b) for cell in cells for a, b in _chunks(cell, jobs)]
     configs, starts, stops = zip(*work)
     if jobs > 1 and len(work) > 1:

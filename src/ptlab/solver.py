@@ -15,6 +15,7 @@ rule (Boyd et al. 2011, sec. 3.3.1) once per window of up to 25 iterations,
 over the iterates the window stored, in a history bounded by
 HISTORY_BYTES: a problem still stops at its first passing iteration, so
 its iterates and results are those of a test made every iteration.
+max_batch bounds the problems one call takes, by BATCH_STATE_BYTES.
 """
 
 import enum
@@ -33,6 +34,15 @@ POLISH_ACT_TOL = 1e-4      # polish: |coordinate| above which it stays free
 # batch whose two slots alone outgrow the bound runs one
 WINDOWS = (25, 10, 5, 2)
 HISTORY_BYTES = 512 * 2 ** 10
+# the bound on a call's state at a window of one iteration (see max_batch).
+# Every iteration sweeps all of it, and once it outgrows the cache the time
+# per problem-iteration rises again: at the criterion-7 shape (166 kB a
+# problem) 16 us at 25 problems, 25-28 us at 200, on a 2-core host.  Within
+# the bound a call still shares NumPy's per-call cost among dozens of
+# problems at that shape and hundreds at the small ones, and no call holds
+# more memory than one problem needs (~130 MB for one distinct-block
+# problem at the multiblock guard).
+BATCH_STATE_BYTES = 4 * 2 ** 20
 
 
 class SolveStatus(enum.Enum):
@@ -85,15 +95,16 @@ def _norm(a):
     return math.sqrt(d.dot(d))
 
 
-def state_bytes(B, c, shared):
-    """Bytes admm_l1x holds per problem of B blocks of c columns at a
-    window of one iteration: its projectors (one for all blocks when
-    shared) and 16 (B, c) arrays, a bound on the 14 it holds: the two
-    history slots' five rows, q, the v and w buffers and the prox's step
-    (half of one for COMPLEX, whose prox adds a half-size per-pair scale;
-    the other sets' proxes allocate nothing).  A deeper window's history
-    adds at most HISTORY_BYTES to a whole call."""
-    return 8 * ((1 if shared else B) * c * c + 16 * B * c)
+def max_batch(B, c, shared):
+    """How many problems of B blocks of c columns one admm_l1x call takes,
+    at least 1: as many as keep its state under BATCH_STATE_BYTES.  A
+    problem's state is its projectors (one for all blocks when shared) and
+    16 (B, c) arrays, a bound on the 14 it holds at a window of one
+    iteration: two history slots of five rows, q, v, w and the prox's step
+    (half of one for COMPLEX, whose prox adds a half-size per-pair scale).
+    A deeper window's history adds at most HISTORY_BYTES to a call."""
+    state = 8 * ((1 if shared else B) * c * c + 16 * B * c)
+    return max(1, BATCH_STATE_BYTES // state)
 
 
 def _setup(stack, y_blocks, shared):
@@ -122,12 +133,13 @@ def admm_l1x(stacks, y_blocks, coeff_set, shared, opts=DEFAULT_OPTIONS):
 
     The loop runs in windows of W iterations (see _window).  Inside a
     window it makes the updates alone, each iteration into its own slot of
-    a history of W + 1 slots; at the window's end it tests the stop rule
-    on every stored iteration at once.  A problem stops at its first
-    passing iteration, with that iteration's z, exactly as if it had been
-    tested every iteration; its later iterates in the window are dropped.
-    Stopped problems are compacted out of the active arrays at the window's
-    end, and rho adaptation and the iteration cap fall on window ends too.
+    a history of W + 1 slots, walked forward and back by turns; at the
+    window's end it tests the stop rule on every stored iteration at once.
+    A problem stops at its first passing iteration, with that iteration's
+    z, exactly as if it had been tested every iteration; its later
+    iterates in the window are dropped.  Stopped problems are compacted out
+    of the active arrays at the window's end, and rho adaptation and the
+    iteration cap fall on window ends too.
 
     Returns one (z, status, s_norm, iterations, seconds) per problem, z of
     shape (B, c).  seconds is the problem's own set-up time plus its share
@@ -154,12 +166,13 @@ def admm_l1x(stacks, y_blocks, coeff_set, shared, opts=DEFAULT_OPTIONS):
     P, q = np.stack(Ps), np.stack(qs)
     del Ps, qs
     n, B, c = q.shape
-    # history slots of rows x - z, z - z_old, x, z, u per active problem;
-    # `carry` holds the last iteration's, and a window writes the slots
-    # after it (dirn 1) or before it (dirn -1) and leaves its last in carry
-    W, hist, steps, work = _layout(P, np.stack((q, np.zeros_like(q))), 0,
-                                   shared, opts)
-    carry, dirn, it = 0, 1, 0
+    # history slots of rows x - z, z - z_old, x, z, u per active problem,
+    # seen forward and reversed (side 0, 1); a window runs its side's view
+    # from slot `first`, the last iteration's, to slot W, the other's 0
+    W, hists, steps, work = _layout(P, np.stack((q, np.zeros_like(q))), 0,
+                                    shared, opts)
+    side = first = it = 0
+    h = hists[0]
     rho = np.full(n, opts.rho)
     # the prox's step 1/rho at the shape of its operand: v's for the real
     # sets, one entry per pair for COMPLEX
@@ -167,48 +180,46 @@ def admm_l1x(stacks, y_blocks, coeff_set, shared, opts=DEFAULT_OPTIONS):
     sq_dim = math.sqrt(B * c)
     tol = opts.tol
     while True:
-        span = W - it % W   # the window ends on the next multiple of W
-        first = carry if dirn > 0 else W - carry
-        _update(steps[dirn][first:first + span], P, q, step, coeff_set,
-                *work)
-        it += span
-        r, s, xn, zn, un = _norms(hist, carry, span, dirn).transpose(1, 0, 2)
+        # the window ends on the next multiple of W, whose rows slot W holds
+        _update(steps[side][first:], P, q, step, coeff_set, *work)
+        it += W - first
+        r, s, xn, zn, un = _norms(h[first:]).transpose(1, 0, 2)
         s = rho * s
         passed = (r <= tol * (sq_dim + np.maximum(xn, zn))) \
             & (s <= tol * (sq_dim + rho * un))
-        carry += dirn * span
         done = passed.any(axis=0)
         if done.any():
             t_last = _charge(seconds, active, t_last)
             for j in np.flatnonzero(done).tolist():
                 i = int(passed[:, j].argmax())
-                slot = carry - dirn * (span - 1 - i)
-                results[active[j]] = (hist[slot, 3, j].copy(),
+                slot = first + 1 + i
+                results[active[j]] = (h[slot, 3, j].copy(),
                                       SolveStatus.CONVERGED, float(s[i, j]),
-                                      it - span + 1 + i)
+                                      it - W + slot)
             keep = np.flatnonzero(~done)
             if not keep.size:
                 break
             active = [active[j] for j in keep.tolist()]
             P, q, rho, step = P[keep], q[keep], rho[keep], step[keep]
             r, s = r[:, keep], s[:, keep]
-            zu = hist[carry, 3:][:, keep]
-            del hist, steps   # freed before the smaller history is allocated
-            W, hist, steps, work = _layout(P, zu, it, shared, opts)
-            carry, dirn = it % W, 1
+            zu = h[W, 3:][:, keep]
+            del h, hists, steps   # freed before _layout allocates anew
+            W, hists, steps, work = _layout(P, zu, it, shared, opts)
+            side = 0
         else:
-            dirn = -dirn
+            side = 1 - side
+        h, first = hists[side], it % W
         if it == opts.max_iters:
             _charge(seconds, active, t_last)
             for j, k in enumerate(active):
-                results[k] = (hist[carry, 3, j].copy(), SolveStatus.MAX_ITERS,
+                results[k] = (h[first, 3, j].copy(), SolveStatus.MAX_ITERS,
                               float(s[-1, j]), it)
             break
         if it <= opts.adapt_until and it % opts.adapt_every == 0:
             up, down = r[-1] > 10.0 * s[-1], s[-1] > 10.0 * r[-1]
             if up.any() or down.any():
-                hist[carry, 4] *= np.where(up, 0.5, np.where(down, 2.0, 1.0)
-                                           )[:, None, None]
+                h[first, 4] *= np.where(up, 0.5, np.where(down, 2.0, 1.0)
+                                        )[:, None, None]
                 rho = np.where(up, rho * 2.0, np.where(down, rho / 2.0, rho))
                 step = _full_step(rho, step.shape)
     return [r + (t,) for r, t in zip(results, seconds)]
@@ -231,23 +242,22 @@ def _window(n, B, c, opts):
 
 def _layout(P, zu, it, shared, opts):
     """The loop's arrays after iteration `it` for the active problems, whose
-    projectors are P and whose last z and u rows are zu: the window W, a
+    projectors are P and whose last z and u rows are zu: the window W, the
     history of W + 1 slots with zu in slot it % W (so that the next window
-    ends in slot W), per direction the views each iteration of a window
-    writes (x, z, u and x as columns) and reads (the previous iteration's
-    z and u), and _update's work arrays.  For dirn 1 entry i writes slot
-    i + 1, for dirn -1 it writes slot W - 1 - i."""
+    ends in slot W) and its reversed view, per view the views each
+    iteration of a window writes (x, z, u and x as columns) and reads (the
+    previous iteration's z and u), and _update's work arrays.  Entry i of a
+    view's list writes its slot i + 1 from its slot i."""
     _, n, B, c = zu.shape
     W = _window(n, B, c, opts)
     hist = np.empty((W + 1, 5, n, B, c))
     hist[it % W, 3:] = zu
-    x, z, u = hist[:, 2], hist[:, 3], hist[:, 4]
-    slots = [(x[i], z[i], u[i], x[i, ..., None]) for i in range(W + 1)]
-    steps = {1: [slots[i] + slots[i - 1][1:3] for i in range(1, W + 1)],
-             -1: [slots[i] + slots[i + 1][1:3] for i in range(W - 1, -1, -1)]}
+    hists = hist, hist[::-1]
+    steps = [[(h[i, 2], h[i, 3], h[i, 4], h[i, 2, ..., None], h[i - 1, 3],
+               h[i - 1, 4]) for i in range(1, W + 1)] for h in hists]
     v = np.empty((n, B, c))
-    return W, hist, steps, (P.transpose(0, 2, 1) if shared else None, v,
-                            v[..., None], np.empty_like(v))
+    return W, hists, steps, (P.transpose(0, 2, 1) if shared else None, v,
+                             v[..., None], np.empty_like(v))
 
 
 def _update(window, P, q, step, coeff_set, PT, v, v_col, w):
@@ -267,19 +277,17 @@ def _update(window, P, q, step, coeff_set, PT, v, v_col, w):
         np.subtract(w, z, out=u)
 
 
-def _norms(hist, carry, span, dirn):
-    """The norms of rows x - z, z - z_old, x, z, u of the span iterations a
-    window wrote from carry in direction dirn, as (span, 5, n) in iteration
-    order.  Fills the x - z and z - z_old rows first; each squared norm is
-    one BLAS dot per row, problem and iteration, as for one problem alone."""
-    lo, hi = (carry + 1, carry + span + 1) if dirn > 0 else \
-        (carry - span, carry)
-    now, last = hist[lo:hi], hist[lo - dirn:hi - dirn]
+def _norms(window):
+    """The norms of rows x - z, z - z_old, x, z, u of the iterations a
+    window wrote into its slots after the first, as (slots - 1, 5, n).
+    Fills the x - z and z - z_old rows first; each squared norm is one
+    BLAS dot per row, problem and iteration, as for one problem alone."""
+    now, last = window[1:], window[:-1]
     np.subtract(now[:, 2], now[:, 3], out=now[:, 0])
     np.subtract(now[:, 3], last[:, 3], out=now[:, 1])
     flat = now.reshape(now.shape[:3] + (1, -1))
     return np.sqrt(np.matmul(flat, flat.transpose(0, 1, 2, 4, 3))
-                   [..., 0, 0])[::dirn]
+                   [..., 0, 0])
 
 
 def _charge(seconds, active, t_last):
@@ -291,12 +299,12 @@ def _charge(seconds, active, t_last):
     return now
 
 
-def _polish_block(Ab, yb, zb, coeff_set):
+def _polish_block(Ab, yb, zb, feas_z, coeff_set):
     """Active-set refinement of one nearly-converged block solution.
 
     Pins coordinates at the pattern read off zb and least-squares the free
     ones.  Returns None when the result leaves the coefficient set or fits
-    the measurements worse than zb."""
+    the measurements worse than zb, whose ||Ab zb - yb|| is feas_z."""
     if coeff_set is CoeffSet.COMPLEX:
         pairs = zb.reshape(-1, 2)
         free = np.linalg.norm(pairs, axis=1) > POLISH_ACT_TOL
@@ -320,7 +328,7 @@ def _polish_block(Ab, yb, zb, coeff_set):
         return None
     if coeff_set is CoeffSet.NONNEG and not (x > -1e-9).all():
         return None
-    if np.linalg.norm(Ab @ x - yb) > np.linalg.norm(Ab @ zb - yb) + 1e-12:
+    if np.linalg.norm(Ab @ x - yb) > feas_z + 1e-12:
         return None
     return np.clip(x, 0.0, 1.0) if coeff_set is CoeffSet.BOX01 else \
         np.maximum(x, 0.0) if coeff_set is CoeffSet.NONNEG else x
@@ -329,12 +337,12 @@ def _polish_block(Ab, yb, zb, coeff_set):
 def _polish(stack, y_blocks, z, coeff_set):
     out = z.copy()
     for b in range(stack.shape[0]):
-        cand = _polish_block(stack[b], y_blocks[b], z[b], coeff_set)
+        feas_z = np.linalg.norm(stack[b] @ z[b] - y_blocks[b])
+        cand = _polish_block(stack[b], y_blocks[b], z[b], feas_z, coeff_set)
         if cand is None:
             continue
         # an infeasible z can undercut the optimum, so grant value slack in
         # proportion to the feasibility the polish repairs
-        feas_z = np.linalg.norm(stack[b] @ z[b] - y_blocks[b])
         slack = 1e-9 + 1e4 * feas_z
         if norm_l1x(cand, coeff_set) <= norm_l1x(z[b], coeff_set) + slack:
             out[b] = cand

@@ -55,7 +55,7 @@ def check_gram_structure(M, K1):
     dev = max(float(np.abs(blocks[b] - blocks[0]).max())
               for b in range(M)) if M > 1 else 0.0
     sv = np.linalg.svd(blocks[0], compute_uv=False)
-    rank = int((sv > 1e-10 * sv[0]).sum()) if sv[0] > 0 else 0
+    rank = int((sv > RANK_REL_THRESHOLD * sv[0]).sum())
     res_in, res_out = eigvec_residuals(blocks[0], M, K1)
     return GramReport(G=G, max_offblock=max_off, block_deviation=dev,
                       block_rank=rank, expected_rank=len(K1),

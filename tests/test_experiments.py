@@ -17,7 +17,7 @@ from ptlab.experiments import (ExperimentConfig, SuccessRow, SuccessTable,
                                run_phase_grid, run_trials, summarize)
 from ptlab.oracle import RESIDUAL_CERT
 from ptlab.predict import predict_pt
-from ptlab.solver import DEFAULT_OPTIONS, state_bytes
+from ptlab.solver import DEFAULT_OPTIONS, max_batch
 
 
 def tiny_config(**kw):
@@ -198,18 +198,31 @@ def test_chunk_wall_times_share_the_solve_time():
 
 def test_chunk_size_from_the_operator():
     # criterion 7's shape, 48 real columns a block: one repeated block's
-    # projector leaves room for 25 trials under CHUNK_STATE_BYTES, and 24
+    # projector leaves room for 25 trials in one solver call, and 24
     # distinct blocks' projectors for 7
     for ensemble, shared, size in (("rbuse", True, 25), ("dbuse", False, 7)):
         cell = tiny_config(ensemble=ensemble, coeff_set=CoeffSet.COMPLEX,
                            ell=5, m=12, M=24, B=24, S=60)
-        assert size == \
-            experiments.CHUNK_STATE_BYTES // state_bytes(24, 48, shared)
+        assert size == max_batch(24, 48, shared)
         assert experiments._chunks(cell, 1) == \
             [(a, min(a + size, 60)) for a in range(0, 60, size)]
+    # 32 distinct blocks of 128 real columns: one trial's state (4.72 MB)
+    # outgrows the solver's bound alone, and a call still takes one trial
+    big = tiny_config(ensemble="dbuse", coeff_set=CoeffSet.COMPLEX, ell=5,
+                      m=32, M=64, B=32, S=3)
+    assert max_batch(32, 128, False) == 1
+    assert experiments._chunks(big, 1) == [(0, 1), (1, 2), (2, 3)]
     # with more workers the trials are dealt out evenly first
     assert experiments._chunks(replace(cell, ensemble="rbuse"), 4) == \
         [(0, 15), (15, 30), (30, 45), (45, 60)]
+
+
+def test_campaign_refuses_jobs_below_one():
+    # the library path's counterpart of the CLI's --jobs check
+    for jobs in (0, -1):
+        with pytest.raises(ValueError,
+                           match=f"jobs must be at least 1, got {jobs}"):
+            run_trials(tiny_config(), jobs=jobs)
 
 
 def failure_rate(config):
