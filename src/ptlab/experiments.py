@@ -92,8 +92,8 @@ class ExperimentConfig:
 
     @property
     def solver(self):
-        """Always solver.DEFAULT_OPTIONS, since the settings are fixed; kept
-        for callers that pass a config's settings to solve_p1."""
+        """Always solver.DEFAULT_OPTIONS, which holds only the iteration cap;
+        kept for callers that pass it to solve_p1 or read its max_iters."""
         return DEFAULT_OPTIONS
 
     @property

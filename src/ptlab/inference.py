@@ -146,15 +146,14 @@ def _as_cells(table):
     rows = getattr(table, "rows", table)
     eps, S, y = [], [], []
     for r in rows:
-        if hasattr(r, "ell"):
-            eps.append(r.ell / r.M)
-            S.append(r.S)
-            y.append(r.successes)
-        else:
-            e, s, c = r
-            eps.append(float(e))
-            S.append(int(s))
-            y.append(int(c))
+        e, s, c = (r.ell / r.M, r.S, r.successes) if hasattr(r, "ell") else r
+        if int(s) < 1 or not 0 <= int(c) <= int(s):
+            raise ValueError(f"a cell needs trials >= 1 and 0 <= successes "
+                             f"<= trials, got (eps, trials, successes) = "
+                             f"{(e, s, c)}")
+        eps.append(float(e))
+        S.append(int(s))
+        y.append(int(c))
     order = np.argsort(eps)
     return (np.asarray(eps, float)[order], np.asarray(S, float)[order],
             np.asarray(y, float)[order])

@@ -71,6 +71,8 @@ def _solve_tau(coeff_set, axis, target):
 def statdim_ratio(eps, coeff_set):
     """Normalized statistical dimension of the descent cone at sparsity eps;
     recovery succeeds asymptotically iff delta exceeds this value."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError("eps must lie in [0, 1]")
     if coeff_set is CoeffSet.BOX01:
         return (1.0 + eps) / 2.0
     return _curve_point(_solve_tau(coeff_set, 0, eps), coeff_set, eps)[1]
@@ -138,22 +140,20 @@ def predict_pt(m, M, B, coeff_set):
     Relative offset r = alpha*eta*gamma at first order, plus
     beta*zeta*gamma^2 at second; the predicted location is eps_asy * (1 - r).
     """
-    return predict_pt_delta(m / M, M, B, coeff_set, m=m)
+    return predict_pt_delta(m / M, M, B, coeff_set)
 
 
-def predict_pt_delta(delta, M, B, coeff_set, m=None):
-    """predict_pt with the undersampling fraction given directly."""
-    if m is None:
-        m = int(round(delta * M))
+def predict_pt_delta(delta, M, B, coeff_set):
+    """predict_pt at the undersampling fraction delta (m = round(delta*M))."""
     eps_asy = asymptotic_pt(delta, coeff_set)
     gamma = gamma_factor(M, B)
     eta = eta_shape(delta, coeff_set)
     zeta = zeta_shape(delta, coeff_set)
     r1 = ALPHA[coeff_set] * eta * gamma
     r2 = r1 + BETA[coeff_set] * zeta * gamma * gamma
-    return OffsetPrediction(coeff_set=coeff_set, m=m, M=M, B=B,
-                            eps_asy=eps_asy, gamma=gamma, eta=eta, zeta=zeta,
-                            eps_bd_first=eps_asy * (1.0 - r1),
+    return OffsetPrediction(coeff_set=coeff_set, m=int(round(delta * M)),
+                            M=M, B=B, eps_asy=eps_asy, gamma=gamma, eta=eta,
+                            zeta=zeta, eps_bd_first=eps_asy * (1.0 - r1),
                             eps_bd_second=eps_asy * (1.0 - r2),
                             rel_offset_first=r1, rel_offset_second=r2,
                             extrapolated=(B != M))
@@ -167,6 +167,8 @@ def general_d_offset(d, d_e, delta, N):
     """
     if d < 2:
         raise ValueError("need d >= 2")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError("delta must lie in (0, 1]")
     if not 0 <= d_e <= d:
         raise ValueError("need 0 <= d_e <= d")
     side = round(N ** (1.0 / d))

@@ -16,6 +16,7 @@ over the iterates the window stored, in a history bounded by
 HISTORY_BYTES: a problem still stops at its first passing iteration, so
 its iterates and results are those of a test made every iteration.
 max_batch bounds the problems one call takes, by BATCH_STATE_BYTES.
+SolverOptions holds one setting, the iteration cap; the rest are constants.
 """
 
 import enum
@@ -29,6 +30,13 @@ from .coeffsets import CoeffSet, SignalVector, _prox, norm_l1x
 
 SUCCESS_THRESHOLD = 1e-3   # relative l2 error below which recovery succeeds
 POLISH_ACT_TOL = 1e-4      # polish: |coordinate| above which it stays free
+# ADMM's stop rule and residual balancing (Boyd et al. 2011, sec. 3.3-3.4)
+TOL = 1e-9           # relative primal/dual stopping tolerance
+FEAS_TOL = 1e-7      # constraint violation of the returned point
+RHO = 1.0            # ADMM penalty, residual-balanced during warmup
+ADAPT_EVERY = 50
+ADAPT_UNTIL = 1000   # convergence needs an eventually fixed penalty
+MAX_ITERS = 50000
 # admm_l1x's window lengths, largest first, and the bound on its history of
 # stored iterates: a lone small problem runs 25 iterations a window, while a
 # batch whose two slots alone outgrow the bound runs one
@@ -53,26 +61,13 @@ class SolveStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    tol: float = 1e-9          # relative primal/dual stopping tolerance
-    feas_tol: float = 1e-7     # constraint violation of the returned point
-    max_iters: int = 50000
-    rho: float = 1.0           # ADMM penalty, residual-balanced during warmup
-    adapt_every: int = 50
-    adapt_until: int = 1000    # convergence needs an eventually fixed penalty
+    max_iters: int = MAX_ITERS
 
     def __post_init__(self):
-        for name in ("tol", "feas_tol", "rho"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be a finite number > 0, "
-                                 f"got {value!r}")
-        for name in ("max_iters", "adapt_every", "adapt_until"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
-        if self.max_iters < 1 or self.adapt_every < 1:
-            raise ValueError("max_iters and adapt_every must be at least 1")
-        if self.adapt_until < 0:
-            raise ValueError("adapt_until must be at least 0")
+        if not isinstance(self.max_iters, (int, np.integer)):
+            raise ValueError("max_iters must be an integer")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -119,7 +114,7 @@ def _setup(stack, y_blocks, shared):
             np.matmul(pinv, y_blocks[:, :, None])[:, :, 0])
 
 
-def admm_l1x(stacks, y_blocks, coeff_set, shared, opts=DEFAULT_OPTIONS):
+def admm_l1x(stacks, y_blocks, coeff_set, shared, max_iters=MAX_ITERS):
     """Core ADMM over a batch of independent problems of one block shape.
 
     stacks: a sequence of (B, r, c) real block stacks; y_blocks: their
@@ -139,7 +134,7 @@ def admm_l1x(stacks, y_blocks, coeff_set, shared, opts=DEFAULT_OPTIONS):
     z, exactly as if it had been tested every iteration; its later
     iterates in the window are dropped.  Stopped problems are compacted out
     of the active arrays at the window's end, and rho adaptation and the
-    iteration cap fall on window ends too.
+    iteration cap max_iters fall on window ends too.
 
     Returns one (z, status, s_norm, iterations, seconds) per problem, z of
     shape (B, c).  seconds is the problem's own set-up time plus its share
@@ -152,7 +147,7 @@ def admm_l1x(stacks, y_blocks, coeff_set, shared, opts=DEFAULT_OPTIONS):
         t0 = time.perf_counter()
         P, q = _setup(stack, yb, shared)
         feas = _norm(np.einsum("brc,bc->br", stack, q) - yb)
-        if feas > opts.feas_tol * (1.0 + _norm(yb)):
+        if feas > FEAS_TOL * (1.0 + _norm(yb)):
             results[k] = (np.zeros_like(q), SolveStatus.INFEASIBLE, 0.0, 0)
         else:
             active.append(k)
@@ -170,23 +165,22 @@ def admm_l1x(stacks, y_blocks, coeff_set, shared, opts=DEFAULT_OPTIONS):
     # seen forward and reversed (side 0, 1); a window runs its side's view
     # from slot `first`, the last iteration's, to slot W, the other's 0
     W, hists, steps, work = _layout(P, np.stack((q, np.zeros_like(q))), 0,
-                                    shared, opts)
+                                    shared, max_iters)
     side = first = it = 0
     h = hists[0]
-    rho = np.full(n, opts.rho)
+    rho = np.full(n, RHO)
     # the prox's step 1/rho at the shape of its operand: v's for the real
     # sets, one entry per pair for COMPLEX
     step = _full_step(rho, (n, B, c // 2 if coeff_set.is_complex else c))
     sq_dim = math.sqrt(B * c)
-    tol = opts.tol
     while True:
         # the window ends on the next multiple of W, whose rows slot W holds
         _update(steps[side][first:], P, q, step, coeff_set, *work)
         it += W - first
         r, s, xn, zn, un = _norms(h[first:]).transpose(1, 0, 2)
         s = rho * s
-        passed = (r <= tol * (sq_dim + np.maximum(xn, zn))) \
-            & (s <= tol * (sq_dim + rho * un))
+        passed = (r <= TOL * (sq_dim + np.maximum(xn, zn))) \
+            & (s <= TOL * (sq_dim + rho * un))
         done = passed.any(axis=0)
         if done.any():
             t_last = _charge(seconds, active, t_last)
@@ -204,18 +198,18 @@ def admm_l1x(stacks, y_blocks, coeff_set, shared, opts=DEFAULT_OPTIONS):
             r, s = r[:, keep], s[:, keep]
             zu = h[W, 3:][:, keep]
             del h, hists, steps   # freed before _layout allocates anew
-            W, hists, steps, work = _layout(P, zu, it, shared, opts)
+            W, hists, steps, work = _layout(P, zu, it, shared, max_iters)
             side = 0
         else:
             side = 1 - side
         h, first = hists[side], it % W
-        if it == opts.max_iters:
+        if it == max_iters:
             _charge(seconds, active, t_last)
             for j, k in enumerate(active):
                 results[k] = (h[first, 3, j].copy(), SolveStatus.MAX_ITERS,
                               float(s[-1, j]), it)
             break
-        if it <= opts.adapt_until and it % opts.adapt_every == 0:
+        if it <= ADAPT_UNTIL and it % ADAPT_EVERY == 0:
             up, down = r[-1] > 10.0 * s[-1], s[-1] > 10.0 * r[-1]
             if up.any() or down.any():
                 h[first, 4] *= np.where(up, 0.5, np.where(down, 2.0, 1.0)
@@ -230,26 +224,25 @@ def _full_step(rho, shape):
     return np.broadcast_to((1.0 / rho)[:, None, None], shape).copy()
 
 
-def _window(n, B, c, opts):
+def _window(n, B, c, max_iters):
     """Iterations per window for n problems of B blocks of c columns: the
-    largest of WINDOWS that divides adapt_every and max_iters (so that rho
-    adaptation and the cap fall on window ends) and whose W + 1 history
-    slots fit in HISTORY_BYTES; else 1."""
-    return next((W for W in WINDOWS
-                 if opts.adapt_every % W == 0 and opts.max_iters % W == 0
+    largest of WINDOWS that divides max_iters (so that the cap falls on a
+    window end; every one divides ADAPT_EVERY, so rho adaptation does too)
+    and whose W + 1 history slots fit in HISTORY_BYTES; else 1."""
+    return next((W for W in WINDOWS if max_iters % W == 0
                  and 8 * 5 * (W + 1) * n * B * c <= HISTORY_BYTES), 1)
 
 
-def _layout(P, zu, it, shared, opts):
+def _layout(P, zu, it, shared, max_iters):
     """The loop's arrays after iteration `it` for the active problems, whose
-    projectors are P and whose last z and u rows are zu: the window W, the
-    history of W + 1 slots with zu in slot it % W (so that the next window
-    ends in slot W) and its reversed view, per view the views each
-    iteration of a window writes (x, z, u and x as columns) and reads (the
-    previous iteration's z and u), and _update's work arrays.  Entry i of a
+    projectors are P and whose last z and u rows are zu: the window W for
+    the cap max_iters, the history of W + 1 slots with zu in slot it % W
+    (so that the next window ends in slot W) and its reversed view, per
+    view the views each iteration writes (x, z, u and x as columns) and
+    reads (the previous z and u), and _update's work arrays.  Entry i of a
     view's list writes its slot i + 1 from its slot i."""
     _, n, B, c = zu.shape
-    W = _window(n, B, c, opts)
+    W = _window(n, B, c, max_iters)
     hist = np.empty((W + 1, 5, n, B, c))
     hist[it % W, 3:] = zu
     hists = hist, hist[::-1]
@@ -364,13 +357,12 @@ def solve_batch(ops, ys, coeff_set, opts=DEFAULT_OPTIONS):
     y_blocks = [np.asarray(y, dtype=float).reshape(s.shape[:2])
                 for s, y in zip(stacks, ys)]
     shared = bool(ops) and ops[0].shared
-    solved = admm_l1x(stacks, y_blocks, coeff_set, shared, opts)
-    return [_finish(A, stack, yb, coeff_set, opts, *out)
+    solved = admm_l1x(stacks, y_blocks, coeff_set, shared, opts.max_iters)
+    return [_finish(A, stack, yb, coeff_set, *out)
             for A, stack, yb, out in zip(ops, stacks, y_blocks, solved)]
 
 
-def _finish(A, stack, y_blocks, coeff_set, opts, z, status, s_norm, iters,
-            seconds):
+def _finish(A, stack, y_blocks, coeff_set, z, status, s_norm, iters, seconds):
     """One problem's SolveResult: solves that hit the iteration cap get an
     active-set polish before the result is reported."""
     t0 = time.perf_counter()
@@ -382,7 +374,7 @@ def _finish(A, stack, y_blocks, coeff_set, opts, z, status, s_norm, iters,
     feas = float(np.linalg.norm(
         np.einsum("brc,bc->br", stack, z) - y_blocks))
     if status is SolveStatus.CONVERGED and \
-            feas > opts.feas_tol * (1.0 + np.linalg.norm(y_blocks)):
+            feas > FEAS_TOL * (1.0 + np.linalg.norm(y_blocks)):
         status = SolveStatus.MAX_ITERS
     return SolveResult(x1=x1, status=status, primal_residual=feas,
                        dual_residual=s_norm, iterations=iters,

@@ -23,7 +23,7 @@ from ptlab.inference import (Link, TestOutcome, empirical_pt, fit_quantal,
                              hypothesis_test)
 from ptlab.oracle import RESIDUAL_CERT, lp_oracle
 from ptlab.predict import asymptotic_pt, predict_pt
-from ptlab.solver import DEFAULT_OPTIONS, solve_p1
+from ptlab.solver import FEAS_TOL, solve_p1
 from ptlab.verify import (check_gram_structure, check_isometry_factorization,
                           equivalence_sweep)
 
@@ -225,10 +225,10 @@ def test_criterion_9_solver_vs_oracle():
             worst_admm = max(worst_admm, res.primal_residual / scale)
             count += 1
     feasible = (worst_oracle <= RESIDUAL_CERT
-                and worst_admm <= DEFAULT_OPTIONS.feas_tol)
+                and worst_admm <= FEAS_TOL)
     report(9, worst < 1e-6 and feasible,
            f"{count} instances, worst |value gap| {worst:.2e} (tol 1e-6), "
            f"worst ||Ax-y||/(1+||y||): oracle {worst_oracle:.1e} "
            f"(cert {RESIDUAL_CERT:.0e}), ADMM {worst_admm:.1e} "
-           f"(feas_tol {DEFAULT_OPTIONS.feas_tol:.0e}), "
+           f"(feas_tol {FEAS_TOL:.0e}), "
            f"{time.time() - t0:.0f}s")

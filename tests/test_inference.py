@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,17 @@ def test_separation_raises():
         fit_quantal(cells, Link.CLL)
     cells = [(0.1, 100, 0), (0.2, 100, 0), (0.3, 100, 0)]
     with pytest.raises(SeparationError):
+        fit_quantal(cells, Link.CLL)
+
+
+@pytest.mark.parametrize("bad", [(0.2, 100, 150), (0.2, 0, 0),
+                                 (0.2, 100, -1)])
+def test_cell_outside_its_trial_count_rejected(bad):
+    # 150 successes in 100 trials once fitted to eps* 0.302, and a cell of
+    # no trials to NaN
+    cells = [(0.1, 100, 90), bad, (0.3, 100, 10)]
+    with pytest.raises(ValueError, match=r"got \(eps, trials, successes\) "
+                       + re.escape(f"= {bad}")):
         fit_quantal(cells, Link.CLL)
 
 

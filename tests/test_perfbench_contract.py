@@ -9,6 +9,14 @@ import importlib
 from inspect import ismodule
 from pathlib import Path
 
+import numpy as np
+
+from ptlab import experiments, solver
+from ptlab.coeffsets import CoeffSet
+from ptlab.ensembles import sample_signal
+from ptlab.experiments import ExperimentConfig
+from ptlab.seeds import stream
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MISSING = object()
 
@@ -56,3 +64,20 @@ def test_every_name_perfbench_reads_exists():
     missing = sorted(f"{module}.{name}" for module, name in reads
                      if resolve(module, name) is MISSING)
     assert missing == []
+
+
+def test_the_solver_calls_perfbench_makes():
+    # replay_trial passes a config's settings to solve_p1 positionally, and
+    # the capped counts compare iterations with these two caps
+    config = ExperimentConfig(ensemble="dbuse", coeff_set=CoeffSet.BOX01,
+                              ell=2, m=3, M=4, B=2, S=1, master_seed=77)
+    assert config.solver.max_iters == solver.DEFAULT_OPTIONS.max_iters \
+        == solver.MAX_ITERS
+    op = experiments._build_matrix(config, stream(77, "matrix", 0))
+    x0 = sample_signal(config.sizes, config.coeff_set, stream(77, "signal", 0))
+    y = op.apply(x0.values, config.coeff_set)
+    got = solver.solve_p1(op, y, config.coeff_set, config.solver)
+    ref = solver.solve_p1(op, y, config.coeff_set)
+    assert (got.status, got.iterations) == (ref.status, ref.iterations)
+    assert np.array_equal(got.x1.values, ref.x1.values)
+    assert got.status is solver.SolveStatus.CONVERGED

@@ -101,6 +101,12 @@ def test_statdim_ratio_against_quadrature_oracle():
         for eps in (0.05, 0.2, 0.5, 0.8):
             assert statdim_ratio(eps, cs) == pytest.approx(
                 _ratio_quad(eps, cs), abs=1e-8)
+    # outside [0, 1] REAL once read -800.5 at eps = -0.5, BOX01 1.25 at 1.5
+    for cs in CoeffSet:
+        assert statdim_ratio(0.0, cs) <= statdim_ratio(1.0, cs) == 1.0
+        for eps in (-0.5, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\]"):
+                statdim_ratio(eps, cs)
 
 
 def test_statdim_ratio_inverts_asymptotic_pt():
@@ -234,6 +240,11 @@ def test_general_d_offset():
         general_d_offset(2, 1, 0.5, 48)  # not a perfect square
     with pytest.raises(ValueError):
         general_d_offset(2, 3, 0.5, 49)
+    # delta = -1 once gave 1.44 and delta = 2 a bare math domain error
+    assert general_d_offset(2, 1, 1.0, 64) == 0.0
+    for delta in (-1.0, 0.0, 2.0, float("nan")):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\]"):
+            general_d_offset(2, 1, delta, 64)
 
 
 def test_mri_offsets():

@@ -8,7 +8,8 @@ from ptlab.ensembles import (ProblemSizes, dbuse, make_block_diagonal,
 from ptlab.oracle import RESIDUAL_CERT, lp_oracle, socp_min_l1x
 from ptlab.seeds import stream
 from ptlab import solver
-from ptlab.solver import (DEFAULT_OPTIONS, SolverOptions, SolveStatus,
+from ptlab.solver import (ADAPT_EVERY, ADAPT_UNTIL, DEFAULT_OPTIONS, FEAS_TOL,
+                          RHO, TOL, WINDOWS, SolverOptions, SolveStatus,
                           admm_l1x, declare_success, relative_error,
                           solve_batch, solve_p1)
 
@@ -195,7 +196,7 @@ def test_solver_vs_oracle_sample():
             oracle = lp_oracle(op.dense_real(cs), y, cs)
             scale = 1.0 + np.linalg.norm(y)
             assert oracle.residual <= RESIDUAL_CERT * scale
-            assert res.primal_residual <= DEFAULT_OPTIONS.feas_tol * scale
+            assert res.primal_residual <= FEAS_TOL * scale
             assert abs(res.value - oracle.value) < 1e-6
 
 
@@ -269,10 +270,10 @@ def reference_admm(stack, y_blocks, cs, opts=DEFAULT_OPTIONS):
         return prox_step(v, t, cs)
 
     B, r, c = stack.shape
-    pinv, rho = np.linalg.pinv(stack), opts.rho
+    pinv, rho = np.linalg.pinv(stack), RHO
     z = np.einsum("bcr,br->bc", pinv, y_blocks)
     feas = np.linalg.norm(np.einsum("brc,bc->br", stack, z) - y_blocks)
-    if feas > opts.feas_tol * (1.0 + np.linalg.norm(y_blocks)):
+    if feas > FEAS_TOL * (1.0 + np.linalg.norm(y_blocks)):
         return np.zeros((B, c)), SolveStatus.INFEASIBLE, 0
     u, sq_dim = np.zeros_like(z), np.sqrt(B * c)
     for it in range(1, opts.max_iters + 1):
@@ -283,12 +284,11 @@ def reference_admm(stack, y_blocks, cs, opts=DEFAULT_OPTIONS):
         u = u + x - z
         r_norm = np.linalg.norm(x - z)
         s_norm = rho * np.linalg.norm(z - z_old)
-        eps_pri = opts.tol * (sq_dim + max(np.linalg.norm(x),
-                                           np.linalg.norm(z)))
-        eps_dual = opts.tol * (sq_dim + rho * np.linalg.norm(u))
+        eps_pri = TOL * (sq_dim + max(np.linalg.norm(x), np.linalg.norm(z)))
+        eps_dual = TOL * (sq_dim + rho * np.linalg.norm(u))
         if r_norm <= eps_pri and s_norm <= eps_dual:
             return z, SolveStatus.CONVERGED, it
-        if it <= opts.adapt_until and it % opts.adapt_every == 0:
+        if it <= ADAPT_UNTIL and it % ADAPT_EVERY == 0:
             if r_norm > 10.0 * s_norm:
                 rho, u = rho * 2.0, u / 2.0
             elif s_norm > 10.0 * r_norm:
@@ -342,9 +342,9 @@ def reference_one_problem(stack, y_blocks, shared, cs, opts=DEFAULT_OPTIONS):
         P = np.eye(c) - pinv @ stack
         q = np.matmul(pinv, y_blocks[:, :, None])[:, :, 0]
     feas = norm(np.einsum("brc,bc->br", stack, q) - y_blocks)
-    if feas > opts.feas_tol * (1.0 + norm(y_blocks)):
+    if feas > FEAS_TOL * (1.0 + norm(y_blocks)):
         return np.zeros((B, c)), SolveStatus.INFEASIBLE, 0.0, 0
-    z, u, rho, sq_dim = q, np.zeros_like(q), opts.rho, np.sqrt(B * c)
+    z, u, rho, sq_dim = q, np.zeros_like(q), RHO, np.sqrt(B * c)
     for it in range(1, opts.max_iters + 1):
         v = z - u
         x = v @ P.T + q if shared else np.matmul(P, v[:, :, None])[:, :, 0] + q
@@ -352,10 +352,10 @@ def reference_one_problem(stack, y_blocks, shared, cs, opts=DEFAULT_OPTIONS):
         z_old, z = z, prox_step(w, 1.0 / rho, cs)
         u = w - z
         r_norm, s_norm = norm(x - z), rho * norm(z - z_old)
-        if r_norm <= opts.tol * (sq_dim + max(norm(x), norm(z))) and \
-                s_norm <= opts.tol * (sq_dim + rho * norm(u)):
+        if r_norm <= TOL * (sq_dim + max(norm(x), norm(z))) and \
+                s_norm <= TOL * (sq_dim + rho * norm(u)):
             return z, SolveStatus.CONVERGED, s_norm, it
-        if it <= opts.adapt_until and it % opts.adapt_every == 0:
+        if it <= ADAPT_UNTIL and it % ADAPT_EVERY == 0:
             if r_norm > 10.0 * s_norm:
                 rho, u = rho * 2.0, u / 2.0
             elif s_norm > 10.0 * r_norm:
@@ -444,20 +444,20 @@ def test_windowed_stop_test_matches_reference(monkeypatch):
 
     window, bound = solver._window, solver.HISTORY_BYTES
     monkeypatch.setattr(solver, "_window", spy)
-    # cap 2000, adapt_every 50: W 25; cap 300, adapt_every 30: W 10, and
-    # the cap falls on an adaptation
-    for opts, W in ((SolverOptions(max_iters=2000), 25),
-                    (SolverOptions(max_iters=300, adapt_every=30), 10)):
-        stops, statuses = set(), set()
+    # cap 2000: W 25; cap 300: W 25, and the cap falls on an adaptation;
+    # cap 310: W 10
+    stops = {25: set(), 10: set()}
+    for max_iters, W in ((2000, 25), (300, 25), (310, 10)):
+        opts, statuses = SolverOptions(max_iters=max_iters), set()
         for cs, shared, group in groups:
             expected = [reference_one_problem(stack, y, shared, cs, opts)
                         for stack, y in group]
-            stops |= {e[3] % W for e in expected
-                      if e[1] is SolveStatus.CONVERGED}
+            stops[W] |= {e[3] % W for e in expected
+                         if e[1] is SolveStatus.CONVERGED}
             statuses |= {e[1] for e in expected}
             stacks, ys = zip(*group)
             windows.clear()
-            alone = [admm_l1x([stack], [y], cs, shared, opts)[0]
+            alone = [admm_l1x([stack], [y], cs, shared, max_iters)[0]
                      for stack, y in group]
             assert set(windows) == {W}
             # a bound that holds 25 iterations of one problem: the batch
@@ -465,36 +465,26 @@ def test_windowed_stop_test_matches_reference(monkeypatch):
             B, _, c = stacks[0].shape
             monkeypatch.setattr(solver, "HISTORY_BYTES", 8 * 5 * 26 * B * c)
             windows.clear()
-            batch = admm_l1x(stacks, ys, cs, shared, opts)
+            batch = admm_l1x(stacks, ys, cs, shared, max_iters)
             monkeypatch.setattr(solver, "HISTORY_BYTES", bound)
             assert windows[0] == 1 and len(set(windows)) > 2
             for got, ref in zip(alone + batch, expected + expected):
                 z, status, s_norm, iters, _ = got
                 assert (iters, status, s_norm) == (ref[3], ref[1], ref[2])
                 assert np.array_equal(z.view(np.int64), ref[0].view(np.int64))
-        assert stops == set(range(W))
         assert statuses == {SolveStatus.CONVERGED, SolveStatus.MAX_ITERS}
-    for bad in ({"max_iters": 0}, {"adapt_every": 0}):
-        with pytest.raises(ValueError, match="at least 1"):
-            SolverOptions(**bad)
+    assert all(stops[W] == set(range(W)) for W in stops)
+    with pytest.raises(ValueError, match="at least 1"):
+        SolverOptions(max_iters=0)
 
 
-@pytest.mark.parametrize("name", ["tol", "feas_tol", "rho"])
-@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
-def test_options_refuse_a_step_or_tolerance_that_is_not_positive(name, value):
-    # rho = -1 "converged" to a point that is not the minimizer, rho = 0
-    # divided by zero, and tol = nan ran to the iteration cap
-    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
-        SolverOptions(**{name: value})
+def test_every_window_divides_the_adaptation_period():
+    # _window only checks the cap: rho adaptation falls on window ends
+    # because every rung of WINDOWS divides ADAPT_EVERY
+    assert all(ADAPT_EVERY % W == 0 for W in WINDOWS)
 
 
-def test_options_refuse_a_negative_adaptation_limit():
-    assert SolverOptions(adapt_until=0).adapt_until == 0
-    with pytest.raises(ValueError, match="adapt_until must be at least 0"):
-        SolverOptions(adapt_until=-1)
-
-
-@pytest.mark.parametrize("name", ["max_iters", "adapt_every", "adapt_until"])
+@pytest.mark.parametrize("name", ["max_iters"])
 def test_options_refuse_a_count_that_is_not_an_integer(name):
     # a loop counter never equals max_iters = 2.5, so a solve that does not
     # converge would never stop
