@@ -124,9 +124,9 @@ def _prox(v, t, coeff_set, out=None, work=None):
         s = np.sign(v, out=out)
         return np.multiply(s, d, out=s)
     if coeff_set is _NONNEG:
-        return np.maximum(np.subtract(v, t, out=out), _ZERO, out=out)
+        return np.maximum(np.subtract(v, t, out), _ZERO, out=out)
     if coeff_set is _BOX01:
-        d = np.maximum(np.subtract(v, t, out=out), _ZERO, out=out)
+        d = np.maximum(np.subtract(v, t, out), _ZERO, out=out)
         return np.minimum(d, _ONE, out=out)
     # scale each pair by 1 - t/max(|pair|, t), which is 0 for |pair| <= t,
     # worked out once per pair and written back to both of its entries

@@ -84,8 +84,9 @@ def fit_quantal(table, link=Link.CLL):
     """Maximum-likelihood (a, b) for pi = invlink(a + b * eps).
 
     `table` is a SuccessTable at fixed (m, M, B) or an iterable of
-    (eps, trials, successes) triples.  Binomial cells are weighted by their
-    trial counts.  Needs at least 3 distinct eps levels and at least one
+    (eps, trials, successes) triples: trials an integer, successes an
+    integer or an expected count q * trials in [0, trials].  Binomial cells
+    are weighted by their trial counts.  Needs at least 3 distinct eps levels and at least one
     cell with 0 < pi_hat < 1 (otherwise SeparationError).
     """
     link = parse_link(link)
@@ -147,16 +148,25 @@ def _as_cells(table):
     eps, S, y = [], [], []
     for r in rows:
         e, s, c = (r.ell / r.M, r.S, r.successes) if hasattr(r, "ell") else r
-        if int(s) < 1 or not 0 <= int(c) <= int(s):
-            raise ValueError(f"a cell needs trials >= 1 and 0 <= successes "
-                             f"<= trials, got (eps, trials, successes) = "
-                             f"{(e, s, c)}")
+        # successes may be an expected count, q * trials; neither count is
+        # ever truncated
+        if not _is_count(s) or s < 1 or not (
+                _is_count(c) or isinstance(c, (float, np.floating))) \
+                or not 0 <= c <= s:
+            raise ValueError(f"a cell needs an integer count of trials >= 1 "
+                             f"and 0 <= successes <= trials, got (eps, "
+                             f"trials, successes) = {(e, s, c)}")
         eps.append(float(e))
         S.append(int(s))
-        y.append(int(c))
+        y.append(float(c))
     order = np.argsort(eps)
     return (np.asarray(eps, float)[order], np.asarray(S, float)[order],
             np.asarray(y, float)[order])
+
+
+def _is_count(k):
+    """An int or a NumPy integer, but not a bool."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
 
 
 def _observed_cov(X, y, S, eta, link, inv_link):

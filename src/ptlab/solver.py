@@ -11,10 +11,13 @@ projector, so the x-update of all B blocks is a single matrix product.
 solve_batch iterates several such problems of one shape in one loop, each
 with its own step size and stop test, which shares NumPy's per-call cost
 among them; solve_p1 is its one-problem case.  The loop tests the stop
-rule (Boyd et al. 2011, sec. 3.3.1) once per window of up to 25 iterations,
-over the iterates the window stored, in a history bounded by
-HISTORY_BYTES: a problem still stops at its first passing iteration, so
-its iterates and results are those of a test made every iteration.
+rule (Boyd et al. 2011, sec. 3.3.1) once per window of iterations, over
+the iterates the window stored, in a history bounded by HISTORY_BYTES: a
+problem still stops at its first passing iteration, so its iterates and
+results are those of a test made every iteration.  Windows run up to 50
+iterations while rho adapts and up to 250 once it is fixed (ADAPT_UNTIL),
+so a long solve pays the test's per-window cost about once in 250
+iterations.
 max_batch bounds the problems one call takes, by BATCH_STATE_BYTES.
 SolverOptions holds one setting, the iteration cap; the rest are constants.
 """
@@ -38,9 +41,10 @@ ADAPT_EVERY = 50
 ADAPT_UNTIL = 1000   # convergence needs an eventually fixed penalty
 MAX_ITERS = 50000
 # admm_l1x's window lengths, largest first, and the bound on its history of
-# stored iterates: a lone small problem runs 25 iterations a window, while a
-# batch whose two slots alone outgrow the bound runs one
-WINDOWS = (25, 10, 5, 2)
+# stored iterates: a lone small problem runs 50 iterations a window while
+# rho adapts and 250 once it is fixed, while a batch whose two slots alone
+# outgrow the bound runs one
+WINDOWS = (250, 100, 50, 25, 10, 5, 2)
 HISTORY_BYTES = 512 * 2 ** 10
 # the bound on a call's state at a window of one iteration (see max_batch).
 # Every iteration sweeps all of it, and once it outgrows the cache the time
@@ -64,7 +68,8 @@ class SolverOptions:
     max_iters: int = MAX_ITERS
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, (int, np.integer)):
+        if isinstance(self.max_iters, bool) or \
+                not isinstance(self.max_iters, (int, np.integer)):
             raise ValueError("max_iters must be an integer")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
@@ -134,7 +139,9 @@ def admm_l1x(stacks, y_blocks, coeff_set, shared, max_iters=MAX_ITERS):
     z, exactly as if it had been tested every iteration; its later
     iterates in the window are dropped.  Stopped problems are compacted out
     of the active arrays at the window's end, and rho adaptation and the
-    iteration cap max_iters fall on window ends too.
+    iteration cap max_iters fall on window ends too.  Each compaction lays
+    the arrays out anew (_layout), and so does the window end at
+    ADAPT_UNTIL, where rho is fixed and W may lengthen.
 
     Returns one (z, status, s_norm, iterations, seconds) per problem, z of
     shape (B, c).  seconds is the problem's own set-up time plus its share
@@ -197,11 +204,14 @@ def admm_l1x(stacks, y_blocks, coeff_set, shared, max_iters=MAX_ITERS):
             P, q, rho, step = P[keep], q[keep], rho[keep], step[keep]
             r, s = r[:, keep], s[:, keep]
             zu = h[W, 3:][:, keep]
+        elif it == ADAPT_UNTIL < max_iters:
+            zu = h[W, 3:].copy()   # rho is fixed from here: longer windows
+        else:
+            zu, side = None, 1 - side
+        if zu is not None:
             del h, hists, steps   # freed before _layout allocates anew
             W, hists, steps, work = _layout(P, zu, it, shared, max_iters)
             side = 0
-        else:
-            side = 1 - side
         h, first = hists[side], it % W
         if it == max_iters:
             _charge(seconds, active, t_last)
@@ -224,30 +234,37 @@ def _full_step(rho, shape):
     return np.broadcast_to((1.0 / rho)[:, None, None], shape).copy()
 
 
-def _window(n, B, c, max_iters):
-    """Iterations per window for n problems of B blocks of c columns: the
-    largest of WINDOWS that divides max_iters (so that the cap falls on a
-    window end; every one divides ADAPT_EVERY, so rho adaptation does too)
-    and whose W + 1 history slots fit in HISTORY_BYTES; else 1."""
+def _window(n, B, c, max_iters, it):
+    """Iterations per window for n problems of B blocks of c columns after
+    iteration `it`: the largest of WINDOWS that divides max_iters (so that
+    the cap falls on a window end), that divides ADAPT_EVERY while rho still
+    adapts (it < ADAPT_UNTIL, so that adaptation does too), and whose W + 1
+    history slots fit in HISTORY_BYTES; else 1."""
     return next((W for W in WINDOWS if max_iters % W == 0
+                 and (it >= ADAPT_UNTIL or ADAPT_EVERY % W == 0)
                  and 8 * 5 * (W + 1) * n * B * c <= HISTORY_BYTES), 1)
 
 
 def _layout(P, zu, it, shared, max_iters):
     """The loop's arrays after iteration `it` for the active problems, whose
     projectors are P and whose last z and u rows are zu: the window W for
-    the cap max_iters, the history of W + 1 slots with zu in slot it % W
-    (so that the next window ends in slot W) and its reversed view, per
-    view the views each iteration writes (x, z, u and x as columns) and
-    reads (the previous z and u), and _update's work arrays.  Entry i of a
-    view's list writes its slot i + 1 from its slot i."""
+    iteration `it` and the cap max_iters, the history of W + 1 slots with
+    zu in slot it % W (so that the next window ends in slot W) and its
+    reversed view, per view the views each iteration writes (x, z, u and x
+    as columns) and reads (the previous z and u), and _update's work
+    arrays.  Entry i of a view's list writes its slot i + 1 from its slot
+    i."""
     _, n, B, c = zu.shape
-    W = _window(n, B, c, max_iters)
+    W = _window(n, B, c, max_iters, it)
     hist = np.empty((W + 1, 5, n, B, c))
     hist[it % W, 3:] = zu
     hists = hist, hist[::-1]
-    steps = [[(h[i, 2], h[i, 3], h[i, 4], h[i, 2, ..., None], h[i - 1, 3],
-               h[i - 1, 4]) for i in range(1, W + 1)] for h in hists]
+    # each slot's x, z, u and x as columns, one set of views for both
+    # sides, since slot i of the reversed view is slot W - i
+    slots = list(zip(hist[:, 2], hist[:, 3], hist[:, 4],
+                     hist[:, 2, ..., None]))
+    steps = [[slots[i] + slots[i - 1][1:3] for i in range(1, W + 1)],
+             [slots[W - i] + slots[W - i + 1][1:3] for i in range(1, W + 1)]]
     v = np.empty((n, B, c))
     return W, hists, steps, (P.transpose(0, 2, 1) if shared else None, v,
                              v[..., None], np.empty_like(v))
@@ -257,17 +274,20 @@ def _update(window, P, q, step, coeff_set, PT, v, v_col, w):
     """The ADMM updates of one window, each iteration into its own history
     slot: x by the projector (PT, the transposed one, when it is shared),
     then z by the prox and u.  step is at the prox's full shape, and v,
-    dead once the projector product is taken, is the prox's scratch."""
+    dead once the projector product is taken, is the prox's scratch.  The
+    ufuncs are bound to local names once a window and take their array
+    out positionally, which NumPy parses faster than a keyword."""
+    subtract, add, matmul = np.subtract, np.add, np.matmul
     for x, z, u, x_col, z_old, u_old in window:
-        np.subtract(z_old, u_old, out=v)
+        subtract(z_old, u_old, v)
         if PT is None:
-            np.matmul(P, v_col, out=x_col)
+            matmul(P, v_col, x_col)
         else:
-            np.matmul(v, PT, out=x)
-        x += q
-        np.add(x, u_old, out=w)
+            matmul(v, PT, x)
+        add(x, q, x)
+        add(x, u_old, w)
         _prox(w, step, coeff_set, z, v)
-        np.subtract(w, z, out=u)
+        subtract(w, z, u)
 
 
 def _norms(window):

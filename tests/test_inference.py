@@ -68,6 +68,31 @@ def test_cell_outside_its_trial_count_rejected(bad):
         fit_quantal(cells, Link.CLL)
 
 
+@pytest.mark.parametrize("bad", [(0.2, 100.9, 50), (0.2, 100.0, 50),
+                                 (0.2, True, 1), (0.2, np.float64(100), 50),
+                                 (0.2, 100, True), (0.2, 100, "50")])
+def test_cell_with_a_trial_count_that_is_not_an_integer_rejected(bad):
+    # trials 100.9 were truncated by int() and fitted as 100
+    cells = [(0.1, 100, 90), bad, (0.3, 100, 10)]
+    with pytest.raises(ValueError, match=r"integer count of trials.*got "
+                       r"\(eps, trials, successes\) " + re.escape(f"= {bad}")):
+        fit_quantal(cells, Link.CLL)
+
+
+def test_cell_counts_are_never_truncated():
+    # NumPy integers are counts, and successes may be an expected count
+    # (q * trials), used as it is: 50.7 once fitted as 50
+    cells = [(0.1, 100, 90), (0.2, 100, 50), (0.3, 100, 10)]
+    fit = fit_quantal(cells, Link.CLL)
+    assert fit_quantal([(0.1, np.int64(100), np.int32(90)), (0.2, 100, 50),
+                        (0.3, np.uint8(100), 10)],
+                       Link.CLL).eps_star == fit.eps_star
+    assert fit_quantal([(0.1, 100, 90.0), (0.2, 100, np.float64(50.0)),
+                        (0.3, 100, 10)], Link.CLL).eps_star == fit.eps_star
+    assert fit_quantal([(0.1, 100, 90), (0.2, 100, 50.7), (0.3, 100, 10)],
+                       Link.CLL).eps_star > fit.eps_star
+
+
 def test_degenerate_design_rejected():
     with pytest.raises(ValueError):
         fit_quantal([(0.1, 100, 50), (0.1, 100, 55)], Link.CLL)

@@ -9,7 +9,7 @@ from ptlab.oracle import RESIDUAL_CERT, lp_oracle, socp_min_l1x
 from ptlab.seeds import stream
 from ptlab import solver
 from ptlab.solver import (ADAPT_EVERY, ADAPT_UNTIL, DEFAULT_OPTIONS, FEAS_TOL,
-                          RHO, TOL, WINDOWS, SolverOptions, SolveStatus,
+                          MAX_ITERS, RHO, TOL, SolverOptions, SolveStatus,
                           admm_l1x, declare_success, relative_error,
                           solve_batch, solve_p1)
 
@@ -417,18 +417,39 @@ def test_batch_composition_does_not_change_iterates():
                     [groups[0][1][0][1], groups[1][1][0][1]], CoeffSet.BOX01)
 
 
+def late_problem(i):
+    """A BOX01 dbuse problem, 4 rows and 6 columns, B=2, drawn from stream
+    (25, "late", i); the indices below were picked from a search of such
+    streams for where their stops fall after ADAPT_UNTIL."""
+    rng = stream(25, "late", i)
+    op = dbuse(4, 6, 2, "real", rng)
+    x0 = sample_signal(ProblemSizes(int(rng.integers(0, 4)), 4, 6, 2),
+                       CoeffSet.BOX01, rng)
+    stack = op.real_block_stack(CoeffSet.BOX01)
+    y = op.apply(x0.values, CoeffSet.BOX01)
+    return stack, y.reshape(stack.shape[:2])
+
+
+# stops at iterations 1001, 1701, 1251, 2400 and 1250, and 3000: with cap
+# 2900 (windows of 100 once rho is fixed) on first and last slots, the last
+# one capped; with cap 3000 (windows of 250) on first and last slots, the
+# last one on the cap's own iteration
+LATE = (12460, 4884, 16444, 27132, 35220, 39140)
+
+
 def test_windowed_stop_test_matches_reference(monkeypatch):
     # the stop rule runs once per window of stored iterates; every problem
     # must still stop where the every-iteration test stops it, bit for bit,
-    # whatever residue mod W its stop falls on, through the cap, and
-    # through compactions that change W
+    # whatever residue mod W its stop falls on, through the cap, through
+    # compactions that change W and through the longer windows once rho is
+    # fixed (ADAPT_UNTIL)
     rng = stream(15, "window")
     groups = []
     for cs in ALL_SETS:
         field_name = "complex" if cs.is_complex else "real"
         for make in (rbuse, dbuse):
             group = []
-            for _ in range(12):
+            for _ in range(24):
                 op = make(4, 6, 2, field_name, rng)
                 x0 = sample_signal(ProblemSizes(int(rng.integers(0, 4)), 4,
                                                 6, 2), cs, rng)
@@ -436,52 +457,95 @@ def test_windowed_stop_test_matches_reference(monkeypatch):
                 y = op.apply(x0.values, cs)
                 group.append((stack, y.reshape(stack.shape[:2])))
             groups.append((cs, op.shared, group))
+    late_group = [(CoeffSet.BOX01, False, [late_problem(i) for i in LATE])]
     windows = []
 
     def spy(*args):
         windows.append(window(*args))
         return windows[-1]
 
+    def check(got, ref):
+        z, status, s_norm, iters, _ = got
+        assert (iters, status, s_norm) == (ref[3], ref[1], ref[2])
+        assert np.array_equal(z.view(np.int64), ref[0].view(np.int64))
+
     window, bound = solver._window, solver.HISTORY_BYTES
     monkeypatch.setattr(solver, "_window", spy)
-    # cap 2000: W 25; cap 300: W 25, and the cap falls on an adaptation;
-    # cap 310: W 10
-    stops = {25: set(), 10: set()}
-    for max_iters, W in ((2000, 25), (300, 25), (310, 10)):
-        opts, statuses = SolverOptions(max_iters=max_iters), set()
-        for cs, shared, group in groups:
+    # per cap, W while rho adapts and once it is fixed: cap 2000: 50, then
+    # 250; cap 300: 50, and the cap falls on an adaptation; cap 310: 10;
+    # for the late group, cap 2900: 50, then 100; cap 3000: 50, then 250
+    stops = {W: set() for W in (50, 10, 100, 250)}
+    for max_iters, W, late, run in ((2000, 50, 250, groups),
+                                    (300, 50, None, groups),
+                                    (310, 10, None, groups),
+                                    (2900, 50, 100, late_group),
+                                    (3000, 50, 250, late_group)):
+        opts = SolverOptions(max_iters=max_iters)
+        statuses, grown = set(), set()
+        for cs, shared, group in run:
             expected = [reference_one_problem(stack, y, shared, cs, opts)
                         for stack, y in group]
-            stops[W] |= {e[3] % W for e in expected
-                         if e[1] is SolveStatus.CONVERGED}
+            for e in expected:
+                if e[1] is SolveStatus.CONVERGED:
+                    at = late if e[3] > ADAPT_UNTIL else W
+                    stops[at].add(e[3] % at)
             statuses |= {e[1] for e in expected}
+            # alone: one layout, and one more at ADAPT_UNTIL
+            for (stack, y), ref in zip(group, expected):
+                windows.clear()
+                check(admm_l1x([stack], [y], cs, shared, max_iters)[0], ref)
+                assert windows == [W] + [late] * (ref[3] > ADAPT_UNTIL)
+            # bounds that hold 25 and 250 iterations of one problem: the
+            # batch starts at a shorter W, which grows as its problems stop
             stacks, ys = zip(*group)
-            windows.clear()
-            alone = [admm_l1x([stack], [y], cs, shared, max_iters)[0]
-                     for stack, y in group]
-            assert set(windows) == {W}
-            # a bound that holds 25 iterations of one problem: the batch
-            # starts at W = 1 and W grows as its problems stop
             B, _, c = stacks[0].shape
-            monkeypatch.setattr(solver, "HISTORY_BYTES", 8 * 5 * 26 * B * c)
-            windows.clear()
-            batch = admm_l1x(stacks, ys, cs, shared, max_iters)
-            monkeypatch.setattr(solver, "HISTORY_BYTES", bound)
-            assert windows[0] == 1 and len(set(windows)) > 2
-            for got, ref in zip(alone + batch, expected + expected):
-                z, status, s_norm, iters, _ = got
-                assert (iters, status, s_norm) == (ref[3], ref[1], ref[2])
-                assert np.array_equal(z.view(np.int64), ref[0].view(np.int64))
-        assert statuses == {SolveStatus.CONVERGED, SolveStatus.MAX_ITERS}
-    assert all(stops[W] == set(range(W)) for W in stops)
+            for slots in (26, 251):
+                monkeypatch.setattr(solver, "HISTORY_BYTES",
+                                    8 * 5 * slots * B * c)
+                windows.clear()
+                batch = admm_l1x(stacks, ys, cs, shared, max_iters)
+                monkeypatch.setattr(solver, "HISTORY_BYTES", bound)
+                for got, ref in zip(batch, expected):
+                    check(got, ref)
+                if slots == 26:   # from W 1 (24 problems) or 2 (6)
+                    assert windows[0] <= 2 and windows == sorted(windows)
+                    grown |= set(windows)
+            if run is late_group:
+                # 6 problems at 250 iterations of one: W 25 while rho
+                # adapts and at ADAPT_UNTIL, then longer as they stop, up
+                # to the late W for the last one
+                assert windows[:2] == [25, 25] and windows[-1] == late
+        assert len(grown) > 2
+        # the late group's last problem stops on cap 3000's own iteration
+        assert statuses == {SolveStatus.CONVERGED, SolveStatus.MAX_ITERS} \
+            - ({SolveStatus.MAX_ITERS} if max_iters == 3000 else set())
+    assert all(stops[W] == set(range(W)) for W in (50, 10))
+    assert all(stops[W] >= {0, 1} for W in (100, 250))   # first, last slot
     with pytest.raises(ValueError, match="at least 1"):
         SolverOptions(max_iters=0)
 
 
 def test_every_window_divides_the_adaptation_period():
-    # _window only checks the cap: rho adaptation falls on window ends
-    # because every rung of WINDOWS divides ADAPT_EVERY
-    assert all(ADAPT_EVERY % W == 0 for W in WINDOWS)
+    # whatever the iteration, W divides the cap, so the cap falls on a
+    # window end, and fits its W + 1 slots in HISTORY_BYTES (or is 1); while
+    # rho adapts it also divides ADAPT_EVERY, so adaptation does too
+    for max_iters in (MAX_ITERS, 3000, 2900, 2000, 310, 300, 7, 1):
+        its = {*range(0, 2 * ADAPT_UNTIL + 1, 10), ADAPT_UNTIL - 1,
+               ADAPT_UNTIL + 1, max_iters - 1}
+        for n, B, c in ((1, 1, 17), (1, 4, 8), (1, 24, 48), (13, 2, 6),
+                        (200, 24, 48)):
+            for it in its:
+                W = solver._window(n, B, c, max_iters, it)
+                assert max_iters % W == 0
+                assert W == 1 or \
+                    8 * 5 * (W + 1) * n * B * c <= solver.HISTORY_BYTES
+                assert it >= ADAPT_UNTIL or ADAPT_EVERY % W == 0
+    # at the default cap a lone small problem's windows lengthen once rho
+    # is fixed, while a lone criterion-7 problem stays at W 10
+    for shape, expected in (((1, 1, 17), [50, 250]), ((1, 4, 8), [50, 250]),
+                            ((1, 24, 48), [10, 10])):
+        assert [solver._window(*shape, MAX_ITERS, it)
+                for it in (0, ADAPT_UNTIL)] == expected
 
 
 @pytest.mark.parametrize("name", ["max_iters"])
@@ -491,3 +555,11 @@ def test_options_refuse_a_count_that_is_not_an_integer(name):
     assert getattr(SolverOptions(**{name: np.int64(50)}), name) == 50
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         SolverOptions(**{name: 2.5})
+
+
+def test_options_refuse_a_bool_cap():
+    # a bool is an int, but True is no iteration count: it would cap every
+    # solve at one iteration
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolverOptions(max_iters=flag)
