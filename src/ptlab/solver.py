@@ -17,7 +17,12 @@ problem still stops at its first passing iteration, so its iterates and
 results are those of a test made every iteration.  Windows run up to 50
 iterations while rho adapts and up to 250 once it is fixed (ADAPT_UNTIL),
 so a long solve pays the test's per-window cost about once in 250
-iterations.
+iterations.  At a window's end a screen (one row filled and two norms per
+stored iteration) first rules out the windows where no stop can pass; the
+full test (two rows, five norms) runs only where one can, and at the
+window ends that adapt rho or reach the cap.  So a batch too large for
+more than one iteration a window, as the grid's criterion-7 chunks are,
+pays the screen nearly every iteration and the full test seldom.
 max_batch bounds the problems one call takes, by BATCH_STATE_BYTES.
 SolverOptions holds one setting, the iteration cap; the rest are constants.
 """
@@ -35,6 +40,7 @@ SUCCESS_THRESHOLD = 1e-3   # relative l2 error below which recovery succeeds
 POLISH_ACT_TOL = 1e-4      # polish: |coordinate| above which it stays free
 # ADMM's stop rule and residual balancing (Boyd et al. 2011, sec. 3.3-3.4)
 TOL = 1e-9           # relative primal/dual stopping tolerance
+SCREEN_SLACK = 1e-6  # rounding slack of the stop test's screen (_screen)
 FEAS_TOL = 1e-7      # constraint violation of the returned point
 RHO = 1.0            # ADMM penalty, residual-balanced during warmup
 ADAPT_EVERY = 50
@@ -47,13 +53,14 @@ MAX_ITERS = 50000
 WINDOWS = (250, 100, 50, 25, 10, 5, 2)
 HISTORY_BYTES = 512 * 2 ** 10
 # the bound on a call's state at a window of one iteration (see max_batch).
-# Every iteration sweeps all of it, and once it outgrows the cache the time
-# per problem-iteration rises again: at the criterion-7 shape (166 kB a
-# problem) 16 us at 25 problems, 25-28 us at 200, on a 2-core host.  Within
-# the bound a call still shares NumPy's per-call cost among dozens of
-# problems at that shape and hundreds at the small ones, and no call holds
-# more memory than one problem needs (~130 MB for one distinct-block
-# problem at the multiblock guard).
+# Every iteration sweeps nearly all of it (the z - z_old rows only where
+# the full stop test runs), and once it outgrows the cache the time per
+# problem-iteration rises again: at the criterion-7 shape (166 kB a
+# problem) 10-13 us at 25 problems, 16-18 us at 200, on a 2-core host
+# (BENCH_27.json, us_per_iteration).  Within the bound a call still shares
+# NumPy's per-call cost among dozens of problems at that shape and hundreds
+# at the small ones, and no call holds more memory than one problem needs
+# (~130 MB for one distinct-block problem at the multiblock guard).
 BATCH_STATE_BYTES = 4 * 2 ** 20
 
 
@@ -134,7 +141,9 @@ def admm_l1x(stacks, y_blocks, coeff_set, shared, max_iters=MAX_ITERS):
     The loop runs in windows of W iterations (see _window).  Inside a
     window it makes the updates alone, each iteration into its own slot of
     a history of W + 1 slots, walked forward and back by turns; at the
-    window's end it tests the stop rule on every stored iteration at once.
+    window's end it tests the stop rule on every stored iteration at once,
+    first by the screen (_screen), and then, where a stop can pass or the
+    window end adapts rho or reaches the cap, in full (_norms).
     A problem stops at its first passing iteration, with that iteration's
     z, exactly as if it had been tested every iteration; its later
     iterates in the window are dropped.  Stopped problems are compacted out
@@ -184,6 +193,13 @@ def admm_l1x(stacks, y_blocks, coeff_set, shared, max_iters=MAX_ITERS):
         # the window ends on the next multiple of W, whose rows slot W holds
         _update(steps[side][first:], P, q, step, coeff_set, *work)
         it += W - first
+        adapts = it <= ADAPT_UNTIL and it % ADAPT_EVERY == 0
+        if not (adapts or it == max_iters
+                or _screen(h[first:], sq_dim)[0].any()):
+            # no stop can pass: no residual is read before the next test
+            side = 1 - side
+            h, first = hists[side], it % W
+            continue
         r, s, xn, zn, un = _norms(h[first:]).transpose(1, 0, 2)
         s = rho * s
         passed = (r <= TOL * (sq_dim + np.maximum(xn, zn))) \
@@ -219,7 +235,7 @@ def admm_l1x(stacks, y_blocks, coeff_set, shared, max_iters=MAX_ITERS):
                 results[k] = (h[first, 3, j].copy(), SolveStatus.MAX_ITERS,
                               float(s[-1, j]), it)
             break
-        if it <= ADAPT_UNTIL and it % ADAPT_EVERY == 0:
+        if adapts:
             up, down = r[-1] > 10.0 * s[-1], s[-1] > 10.0 * r[-1]
             if up.any() or down.any():
                 h[first, 4] *= np.where(up, 0.5, np.where(down, 2.0, 1.0)
@@ -294,11 +310,44 @@ def _norms(window):
     """The norms of rows x - z, z - z_old, x, z, u of the iterations a
     window wrote into its slots after the first, as (slots - 1, 5, n).
     Fills the x - z and z - z_old rows first; each squared norm is one
-    BLAS dot per row, problem and iteration, as for one problem alone."""
+    BLAS dot per row, problem and iteration, as for one problem alone.
+    admm_l1x calls it only where _screen lets a slot pass, or where the
+    window end adapts rho or reaches the cap, which read its residuals."""
     now, last = window[1:], window[:-1]
     np.subtract(now[:, 2], now[:, 3], out=now[:, 0])
     np.subtract(now[:, 3], last[:, 3], out=now[:, 1])
-    flat = now.reshape(now.shape[:3] + (1, -1))
+    return _row_norms(now)
+
+
+def _screen(window, sq_dim):
+    """Which iterations of a window can pass the primal stop test, as a
+    mask of shape (slots - 1, n), with the ||x - z|| and ||z|| (r, zn) it
+    rests on.  Fills the x - z row and takes the two rows' norms in one
+    call, where _norms fills two rows and takes five norms.
+
+    A slot passes only if r <= TOL (sqrt(Bc) + max(||x||, ||z||)), and
+    ||x|| <= ||z|| + r, so only if r <= TOL (sqrt(Bc) + ||z|| + r): the
+    screen tests that with r scaled by 1 - SCREEN_SLACK, as
+    r (1 - SCREEN_SLACK - TOL) <= TOL (sqrt(Bc) + ||z||).  The slack covers
+    rounding.  Each norm is the root of a sum of L squares, L = Bc (the
+    entries of x - z rounded once more), so in any order of summation the
+    screen's r and zn and _norms's r, ||x|| and ||z|| are each within a
+    relative L eps of the exact norms (eps = 2**-53), and a slot that
+    _norms passes meets the scaled test whenever SCREEN_SLACK >= 4 L eps:
+    rows of up to 2.2e9 entries, against 8192 at the desk-scale guard
+    (2 B M <= 2 MULTIBLOCK_N_LIMIT).  Entries between 1e-150 and 1e150
+    neither overflow nor underflow when squared."""
+    now = window[1:]
+    np.subtract(now[:, 2], now[:, 3], out=now[:, 0])
+    r, zn = _row_norms(now[:, ::3]).transpose(1, 0, 2)   # x - z and z
+    return r * (1.0 - SCREEN_SLACK - TOL) <= TOL * (sq_dim + zn), r, zn
+
+
+def _row_norms(rows):
+    """The l2 norm of each problem's (B, c) row in rows, of shape (slots,
+    k, n, B, c), as (slots, k, n): each squared norm is one BLAS dot, as
+    for one problem alone, and all of them are one matmul call."""
+    flat = rows.reshape(rows.shape[:3] + (1, -1))
     return np.sqrt(np.matmul(flat, flat.transpose(0, 1, 2, 4, 3))
                    [..., 0, 0])
 

@@ -525,6 +525,118 @@ def test_windowed_stop_test_matches_reference(monkeypatch):
         SolverOptions(max_iters=0)
 
 
+def test_screen_flags_every_slot_the_stop_test_can_pass():
+    # the screen may skip the full stop test only where no slot passes its
+    # primal half as _norms computes it: rows at that test's boundary and
+    # the screen's own, by cancellation (x = z + d), along z, at x = -z,
+    # zero rows and entries near 1e-150 and 1e150, for small, COMPLEX
+    # criterion-7 (24 blocks of 48) and desk-scale-guard rows
+    rng = stream(27, "screen")
+    slack = 1.0 / (1.0 - solver.SCREEN_SLACK)
+    fractions = (0.0, 0.5, 1 - 1e-9, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-9,
+                 slack * (1 + 5e-10), slack * (1 + 1e-8), 2.0)
+    passed_any = flagged_not_passed = 0
+    for B, c in ((1, 17), (24, 48), (1, 8192)):
+        sq_dim = np.sqrt(B * c)
+        for scale in (1e-150, 1e-6, 1.0, 1e3, 1e150):
+            rows = []   # (x, z) pairs
+            z = scale * rng.standard_normal((B, c))
+            bound = TOL * (sq_dim + np.linalg.norm(z))
+            d = rng.standard_normal((B, c))
+            for f in fractions:
+                rows.append((z + f * bound * d / np.linalg.norm(d), z))
+                rows.append((z * (1 + f * bound / np.linalg.norm(z)), z))
+                # x = -z: r = 2 ||z|| at f times the primal test's bound
+                t = f * TOL * sq_dim / (2 - TOL)
+                rows.append((-t * d / np.linalg.norm(d),
+                             t * d / np.linalg.norm(d)))
+            rows += [(np.zeros((B, c)), np.zeros((B, c))), (-z, z),
+                     (np.zeros((B, c)), z)]
+            window = rng.standard_normal((2, 5, len(rows), B, c))
+            for j, (x, zj) in enumerate(rows):
+                window[1, 2, j], window[1, 3, j] = x, zj
+            r, _, xn, zn, _ = solver._norms(window.copy())[0]
+            passed = r <= TOL * (sq_dim + np.maximum(xn, zn))
+            may_pass, r_s, zn_s = solver._screen(window.copy(), sq_dim)
+            assert not (passed & ~may_pass[0]).any()
+            assert np.array_equal(
+                may_pass, r_s * (1 - solver.SCREEN_SLACK - TOL)
+                <= TOL * (sq_dim + zn_s))
+            assert np.all(np.abs(r_s[0] - r) <= 1e-12 * r)
+            assert np.all(np.abs(zn_s[0] - zn) <= 1e-12 * zn)
+            passed_any += passed.sum()
+            flagged_not_passed += (may_pass[0] & ~passed).sum()
+            assert not may_pass[0, -1] and not may_pass[0, -2] or \
+                scale == 1e-150   # x = -z and x = 0 fail unless z is tiny
+    assert passed_any and flagged_not_passed
+
+
+# COMPLEX rbuse problems (6 rows, 12 columns, 4 blocks) from stream
+# (27, "skip", i) that the cap of 1300 stops, found by a search of streams
+SKIP = (38, 39, 40, 41)
+
+
+def test_screened_window_ends_match_reference(monkeypatch):
+    # at a window of one iteration, as the grid's batches run, the screen
+    # skips the full stop test where no stop can pass; problems capped
+    # past ADAPT_UNTIL still keep the every-iteration test's iterates,
+    # alone and in a batch, because the full test runs at every adaptation
+    # end and at the cap
+    cs, max_iters = CoeffSet.COMPLEX, 1300
+    problems = []
+    for i in SKIP:
+        rng = stream(27, "skip", i)
+        op = rbuse(6, 12, 4, "complex", rng)
+        x0 = sample_signal(ProblemSizes(int(rng.integers(1, 6)), 6, 12, 4),
+                           cs, rng)
+        stack = op.real_block_stack(cs)
+        problems.append((stack, op.apply(x0.values, cs).reshape(
+            stack.shape[:2])))
+    opts = SolverOptions(max_iters=max_iters)
+    expected = [reference_one_problem(stack, y, True, cs, opts)
+                for stack, y in problems]
+    assert {e[1] for e in expected} == {SolveStatus.MAX_ITERS}
+
+    it, screened, tested = [0], [], []
+    update, screen, norms = solver._update, solver._screen, solver._norms
+
+    def spy_update(window, *args):
+        it[0] += len(window)
+        return update(window, *args)
+
+    def spy_screen(*args):
+        screened.append(it[0])
+        return screen(*args)
+
+    def spy_norms(window):
+        tested.append(it[0])
+        return norms(window)
+
+    monkeypatch.setattr(solver, "_update", spy_update)
+    monkeypatch.setattr(solver, "_screen", spy_screen)
+    monkeypatch.setattr(solver, "_norms", spy_norms)
+    forced = {*range(ADAPT_EVERY, ADAPT_UNTIL + 1, ADAPT_EVERY), max_iters}
+    stacks, ys = zip(*problems)
+    for k in [[i] for i in range(len(problems))] + [range(len(problems))]:
+        if len(k) > 1:
+            monkeypatch.setattr(solver, "HISTORY_BYTES", 0)   # W = 1
+        it[0] = 0
+        screened.clear()
+        tested.clear()
+        got = admm_l1x([stacks[i] for i in k], [ys[i] for i in k], cs, True,
+                       max_iters)
+        for (z, status, s_norm, iters, _), i in zip(got, k):
+            ref = expected[i]
+            assert (iters, status, s_norm) == (ref[3], ref[1], ref[2])
+            assert np.array_equal(z.view(np.int64), ref[0].view(np.int64))
+        assert forced <= set(tested)
+        assert not forced & set(screened)
+        assert set(screened) - set(tested)   # the skip path ran
+    # at W = 1 every other window end was screened, and skipped
+    assert set(screened) == set(range(1, max_iters + 1)) - forced
+    assert set(tested) == forced
+
+
 def test_every_window_divides_the_adaptation_period():
     # whatever the iteration, W divides the cap, so the cap falls on a
     # window end, and fits its W + 1 slots in HISTORY_BYTES (or is 1); while
